@@ -521,8 +521,14 @@ def decompose_in_mixture_core(
             elif not eq(p.weights[i], 0, FLOAT_TOL):
                 return None
             continue
-        a_eq.append(row)
-        b_eq.append(target)
+        if exact:
+            a_eq.append(row)
+            b_eq.append(target)
+        else:
+            # float weights cannot meet the mix-back exactly; half the
+            # tolerance on either side leaves room to round the parts to floats
+            a_ub += [row, [-v for v in row]]
+            b_ub += [target + slack / 2, slack / 2 - target]
 
     solution = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, nvars)
     if solution is None:

@@ -3,7 +3,7 @@
 Every command reads one JSON document, runs one engine query, and writes one
 JSON report.  Verdicts are answers, not errors: "not rationalizable" exits 0.
 Exit codes: 0 success, 1 unreadable input, 2 schema or validation problem,
-3 size cap exceeded.
+3 size cap exceeded, 4 internal failure of an engine query.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from . import schemas
 from .capacity import core_vertices, is_belief_function, is_convex
-from .errors import InfeasibleSetError, SizeLimitError, ValidationError
+from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .identification import (
     check_menu_homogeneous,
     check_rationalizes,
@@ -321,6 +321,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValidationError, KeyError, TypeError) as exc:
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 2
+    except CapidError as exc:
+        _write(_error_report(args.command, args.mode, digest, exc), args.output)
+        return 4
     if args.command == "simulate":
         # the simulate report is itself a problem document consumable by the
         # identification commands; keep its report fields alongside

@@ -239,22 +239,22 @@ def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
 
 
 def _constraint_rows(
-    problem: IdentificationProblem,
+    ground: GroundSet, lam: Measure, capacities: Sequence[Capacity]
 ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Dominance inequalities as LP rows ``coeffs . Q <= rhs``.
+    """Dominance inequalities as LP rows ``coeffs . Q <= rhs``, one per subset.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
     In float mode right-hand sides gain the standard feasibility slack.
     """
-    exact = problem.tol == 0
+    exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
     best: dict[tuple[Fraction, ...], Fraction] = {}
-    for mask in problem.ground.masks():
-        coeffs = tuple(as_fraction(r.capacity.values[mask]) for r in problem.rules)
+    for mask in ground.masks():
+        coeffs = tuple(as_fraction(c.values[mask]) for c in capacities)
         if not any(coeffs):
             continue
-        rhs = as_fraction(problem.data.mass(mask)) + slack
+        rhs = as_fraction(lam.mass(mask)) + slack
         if coeffs not in best or rhs < best[coeffs]:
             best[coeffs] = rhs
     return sorted(best.items())
@@ -263,7 +263,7 @@ def _constraint_rows(
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
     """Some admissible Q, or None when the identified set is empty."""
     m = len(problem.rules)
-    rows = _constraint_rows(problem)
+    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
     a_ub = [list(coeffs) for coeffs, _ in rows]
     b_ub = [rhs for _, rhs in rows]
     point = lp.feasible_point(a_ub, b_ub, [[Fraction(1)] * m], [Fraction(1)], m)
@@ -287,7 +287,7 @@ def probability_bounds(
     Q (the simplex returns a certifying basic solution).
     """
     m = len(problem.rules)
-    rows = _constraint_rows(problem)
+    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
     a_ub = [list(coeffs) for coeffs, _ in rows]
     b_ub = [rhs for _, rhs in rows]
     a_eq, b_eq = [[Fraction(1)] * m], [Fraction(1)]
@@ -316,7 +316,7 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
         raise SizeLimitError(
             f"vertex enumeration supports at most {MAX_RULES_FOR_VERTICES} rules"
         )
-    rows = _constraint_rows(problem)
+    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
     verts = lp.simplex_polytope_vertices(m, rows)
     if not verts:
         raise InfeasibleSetError("the identified set is empty")
@@ -513,16 +513,7 @@ def necessary_exists(
         lower_probability(list(vertices), ground) for _, vertices in rule_vertex_sets
     ]
     exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
-    slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for mask in ground.masks():
-        coeffs = tuple(as_fraction(c.values[mask]) for c in capacities)
-        if not any(coeffs):
-            continue
-        rhs = as_fraction(lam.mass(mask)) + slack
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    rows = sorted(best.items())
+    rows = _constraint_rows(ground, lam, capacities)
     m = len(ids)
     point = lp.feasible_point(
         [list(c) for c, _ in rows], [r for _, r in rows], [[Fraction(1)] * m], [Fraction(1)], m

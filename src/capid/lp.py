@@ -4,8 +4,11 @@ Everything here runs on :class:`fractions.Fraction`, so feasibility answers
 are exact and never depend on a tolerance.  Two entry points:
 
 ``solve_lp``
-    two-phase dense simplex with Bland's rule (termination guaranteed) for
-    ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0``.
+    two-phase simplex with a Bland fallback (termination guaranteed) for
+    ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0`` on a condensed
+    tableau (Chvatal, 1983) that stores only the nonbasic columns, so a pivot
+    costs O(R * m), not O(R * (R + m)).  ``tests/lp_oracle.py`` keeps the
+    dense tableau, which makes the same pivots, as the test oracle.
 
 ``simplex_polytope_vertices``
     exact vertex enumeration for polytopes of the form
@@ -36,45 +39,51 @@ class LpResult:
     objective: Optional[Fraction]
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    inv = _ONE / piv
-    tableau[row] = [v * inv for v in tableau[row]]
+def _pivot(
+    tableau: list[list[Fraction]], basis: list[int], nonbasic: list[int], row: int, col: int
+) -> None:
+    """Exchange ``basis[row]`` with ``nonbasic[col]`` in place; the leaving
+    variable takes over column ``col``."""
     prow = tableau[row]
+    inv = _ONE / prow[col]
+    for j, v in enumerate(prow):
+        if v:
+            prow[j] = v * inv
+    prow[col] = inv
+    nonzero = [(j, v) for j, v in enumerate(prow) if v and j != col]
     for r, trow in enumerate(tableau):
-        if r == row:
-            continue
         factor = trow[col]
-        if factor:
-            tableau[r] = [v - factor * p for v, p in zip(trow, prow)]
-    basis[row] = col
+        if r == row or not factor:
+            continue
+        for j, p in nonzero:
+            trow[j] -= factor * p
+        trow[col] = -factor * inv
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _run_simplex(tableau: list[list[Fraction]], basis: list[int], nonbasic: list[int]) -> str:
     """Minimize the objective encoded in the last tableau row.
 
     Dantzig's most-negative entering rule for speed; after a run of
     degenerate pivots the rule switches permanently to Bland's, which
-    guarantees termination from any basis.
+    guarantees termination from any basis.  Ties go to the lowest variable
+    index, wherever the variable sits in the condensed tableau.
     """
     obj = len(tableau) - 1
+    costs = tableau[obj]  # pivots update rows in place
+    ncols = len(costs) - 1
+    index_of = nonbasic.__getitem__
     stalled = 0
     bland = False
-    last_value = tableau[obj][-1]
+    last_value = costs[-1]
     while True:
-        enter = -1
         if bland:
-            for j in range(ncols):
-                if tableau[obj][j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j in range(ncols) if costs[j] < 0), key=index_of, default=-1)
         else:
-            most = _ZERO
-            for j in range(ncols):
-                v = tableau[obj][j]
-                if v < most:
-                    most = v
-                    enter = j
+            most = min(costs[:ncols], default=_ZERO)
+            enter = -1
+            if most < 0:
+                enter = min((j for j in range(ncols) if costs[j] == most), key=index_of)
         if enter < 0:
             return "optimal"
         leave = -1
@@ -88,9 +97,9 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) ->
                     leave = r
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, leave, enter)
+        _pivot(tableau, basis, nonbasic, leave, enter)
         if not bland:
-            value = tableau[obj][-1]
+            value = costs[-1]
             if value == last_value:
                 stalled += 1
                 if stalled >= 32:
@@ -107,91 +116,76 @@ def solve_lp(
     a_eq: Sequence[Row],
     b_eq: Row,
 ) -> LpResult:
-    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``."""
+    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``.
+
+    Variables are numbered structural, then one slack per inequality row,
+    then one artificial per row whose slack cannot start basic.
+    """
     n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_count = len(a_ub)
-    for i, (arow, b) in enumerate(zip(a_ub, b_ub)):
-        row = [Fraction(v) for v in arow] + [_ZERO] * slack_count
-        row[n + i] = _ONE
-        rows.append(row)
-        rhs.append(Fraction(b))
-    for arow, b in zip(a_eq, b_eq):
-        rows.append([Fraction(v) for v in arow] + [_ZERO] * slack_count)
-        rhs.append(Fraction(b))
+    width = n + len(a_ub)
+    rows = [[Fraction(v) for v in arow] + [Fraction(b)] for arow, b in zip(a_ub, b_ub)]
+    rows += [[Fraction(v) for v in arow] + [Fraction(b)] for arow, b in zip(a_eq, b_eq)]
+    basis = [n + i for i in range(len(a_ub))] + [-1] * len(a_eq)
+    flipped: list[int] = []
     # normalize to b >= 0 so artificial columns can form a feasible start
-    for r in range(len(rows)):
-        if rhs[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs[r] = -rhs[r]
+    for r, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[r] = [-v for v in row]
+            if basis[r] >= 0:
+                flipped.append(r)
+                basis[r] = -1
+    # a flipped row's slack starts nonbasic with coefficient -1
+    nonbasic = list(range(n)) + [n + i for i in flipped]
+    for r, row in enumerate(rows):
+        row[n:n] = [-_ONE if r == i else _ZERO for i in flipped]
+    arts = [r for r in range(len(rows)) if basis[r] < 0]
+    for k, r in enumerate(arts):
+        basis[r] = width + k
 
-    m = len(rows)
-    width = n + slack_count
-    basis = [-1] * m
-    # slack columns with +1 coefficient give a free basic variable
-    for r in range(m):
-        for j in range(n, width):
-            if rows[r][j] == _ONE and all(rows[k][j] == 0 for k in range(m) if k != r):
-                basis[r] = j
-                break
-    art_cols: list[int] = []
-    for r in range(m):
-        if basis[r] < 0:
-            col = width + len(art_cols)
-            art_cols.append(col)
-            basis[r] = col
-    total = width + len(art_cols)
-
-    tableau = []
-    for r in range(m):
-        row = rows[r] + [_ZERO] * len(art_cols) + [rhs[r]]
-        if basis[r] >= width:
-            row[basis[r]] = _ONE
-        tableau.append(row)
-
-    if art_cols:
-        phase1 = [_ZERO] * (total + 1)
-        for col in art_cols:
-            phase1[col] = _ONE
-        tableau.append(phase1)
-        for r in range(m):
-            if basis[r] >= width:
-                tableau[m] = [v - w for v, w in zip(tableau[m], tableau[r])]
-        status = _run_simplex(tableau, basis, total)
-        if status != "optimal" or tableau[m][-1] != 0:
+    if arts:
+        phase1 = [-sum(col) for col in zip(*(rows[r] for r in arts))]
+        tableau = rows + [phase1]
+        status = _run_simplex(tableau, basis, nonbasic)
+        if status != "optimal" or tableau[-1][-1] != 0:
             return LpResult("infeasible", None, None)
         tableau.pop()
         # drive surviving artificials out of the basis or drop redundant rows
         drop: list[int] = []
-        for r in range(m):
+        for r in range(len(rows)):
             if basis[r] >= width:
-                piv_col = next((j for j in range(width) if tableau[r][j] != 0), -1)
+                row = rows[r]
+                piv_col = min(
+                    (j for j, v in enumerate(row[:-1]) if v and nonbasic[j] < width),
+                    key=nonbasic.__getitem__,
+                    default=-1,
+                )
                 if piv_col < 0:
                     drop.append(r)
                 else:
-                    _pivot(tableau, basis, r, piv_col)
-        for r in sorted(drop, reverse=True):
-            tableau.pop(r)
+                    _pivot(rows, basis, nonbasic, r, piv_col)
+        for r in reversed(drop):
+            rows.pop(r)
             basis.pop(r)
-        m = len(tableau)
-        tableau = [row[:width] + [row[-1]] for row in tableau]
-        total = width
+        keep = [j for j, var in enumerate(nonbasic) if var < width]
+        if len(keep) < len(nonbasic):
+            rows = [[row[j] for j in keep] + [row[-1]] for row in rows]
+            nonbasic = [nonbasic[j] for j in keep]
 
-    objective = [Fraction(v) for v in c] + [_ZERO] * (total - n) + [_ZERO]
-    tableau.append(objective)
-    for r in range(m):
-        coef = tableau[m][basis[r]]
+    cost = [Fraction(v) for v in c]
+    objective = [cost[var] if var < n else _ZERO for var in nonbasic] + [_ZERO]
+    for r, row in enumerate(rows):
+        coef = cost[basis[r]] if basis[r] < n else _ZERO
         if coef:
-            tableau[m] = [v - coef * w for v, w in zip(tableau[m], tableau[r])]
-    status = _run_simplex(tableau, basis, total)
+            objective = [v - coef * w for v, w in zip(objective, row)]
+    tableau = rows + [objective]
+    status = _run_simplex(tableau, basis, nonbasic)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
     x = [_ZERO] * n
-    for r in range(m):
+    for r, row in enumerate(rows):
         if basis[r] < n:
-            x[basis[r]] = tableau[r][-1]
-    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+            x[basis[r]] = row[-1]
+    value = sum(ci * xi for ci, xi in zip(cost, x))
     return LpResult("optimal", tuple(x), value)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from capid import identification, schemas
 from capid.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -85,6 +86,37 @@ class TestWitness:
         )
         assert code == 0
         assert report["result"]["witness"] is None
+
+
+class TestFloatWitness:
+    def test_float_weights_mix_back_within_tolerance(self, capsys, tmp_path):
+        # lambda = 0.5 (1, 0, 0) + 0.3 (0, 1, 0) + 0.2 (0.7, 0.1, 0.2) in
+        # exact decimals; their binary doubles miss the mix-back by about
+        # 1e-17, which made the decomposition LP infeasible before
+        doc = json.loads(Path(NESTED).read_text())
+        doc["lambda"] = {"a": 0.64, "b": 0.32, "c": 0.04}
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(doc))
+        q = {"pref:a>b>c": 0.5, "pref:b>a>c": 0.3, "pref:c>b>a": 0.2}
+        code, report = run(
+            capsys, "witness", "--input", str(path), "--mode", "float", "--q", json.dumps(q)
+        )
+        assert code == 0
+        witness = report["result"]["witness"]
+        problem = schemas.parse_problem(doc, exact=False).problem
+        ground = problem.ground
+        mixed = [0.0] * ground.size
+        for rule in problem.rules:
+            if rule.rule_id not in witness:
+                continue
+            part = [float(witness[rule.rule_id].get(label, 0)) for label in ground.labels]
+            for mask in ground.masks():
+                mass = sum(w for i, w in enumerate(part) if mask >> i & 1)
+                assert mass >= rule.capacity.values[mask] - 1e-9
+            for i, w in enumerate(part):
+                mixed[i] += q[rule.rule_id] * w
+        for i, label in enumerate(ground.labels):
+            assert abs(mixed[i] - doc["lambda"][label]) <= 1e-9
 
 
 class TestMenuHomog:
@@ -191,6 +223,14 @@ class TestDeterminismAndErrors:
         code, report = run(capsys, "exists", "--input", TWO_ORDERS)
         assert code == 3
         assert report["error"]["type"] == "SizeLimitError"
+
+    def test_internal_failure_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(identification, "decompose_in_mixture_core", lambda *a: None)
+        q = json.dumps({"pref:a>b>c": "2/3", "pref:a>c>b": "1/3"})
+        code, report = run(capsys, "witness", "--input", TWO_ORDERS, "--q", q)
+        assert code == 4
+        assert report["error"]["type"] == "CapidError"
+        assert "decomposition failed" in report["error"]["message"]
 
     def test_float_mode_runs(self, capsys):
         code, report = run(

@@ -1,0 +1,154 @@
+"""Differential tests: the condensed simplex against the dense oracle.
+
+Both solvers follow the same pivot rules, so on every LP they must return
+the same ``LpResult``: status, exact point and objective.  Where scipy is
+installed, optimal objectives are also compared with HiGHS.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from capid.lp import solve_lp
+from lp_oracle import solve_lp as dense_solve_lp
+
+
+def _value(rng: random.Random, lo: int, hi: int, zeros: float) -> F:
+    if rng.random() < zeros:
+        return F(0)
+    if rng.random() < 0.25:
+        return F(rng.randint(lo, hi), rng.randint(1, 4))
+    return F(rng.randint(lo, hi))
+
+
+def random_lp(rng: random.Random):
+    """Small LPs with many zeros and repeated values, so ties are common."""
+    n = rng.randint(1, 5)
+    zeros = rng.choice((0.0, 0.3, 0.6))
+    c = [_value(rng, -3, 3, zeros) for _ in range(n)]
+    a_ub = [[_value(rng, -3, 3, zeros) for _ in range(n)] for _ in range(rng.randint(0, 7))]
+    b_ub = [_value(rng, -3, 4, 0.3) for _ in a_ub]
+    a_eq = [[_value(rng, -2, 3, zeros) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    b_eq = [_value(rng, -2, 3, 0.2) for _ in a_eq]
+    if a_ub and rng.random() < 0.3:
+        # a repeated inequality gives tied ratios between basic slacks
+        i = rng.randrange(len(a_ub))
+        a_ub.append(list(a_ub[i]))
+        b_ub.append(b_ub[i])
+    if a_eq and rng.random() < 0.4:
+        # a scaled copy of an equality is redundant: its artificial stays
+        # basic at zero with no pivot left, and the row is dropped
+        k = F(rng.choice((-2, -1, 2, 3)))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def dominance_lp(rng: random.Random):
+    """LPs shaped like the identification queries: Q on the simplex and
+    rows ``nu(K) . Q <= lambda(K)`` with many equal coefficients."""
+    m = rng.randint(2, 5)
+    rows = []
+    for _ in range(rng.randint(5, 25)):
+        coeffs = [F(rng.choice((0, 0, 1, 1, 2, 3)), 4) for _ in range(m)]
+        rows.append((coeffs, F(rng.randint(0, 4), 4)))
+    i = rng.randrange(m)
+    c = [F(0)] * m
+    c[i] = F(rng.choice((-1, 1)))
+    ones = [F(1)] * m
+    return c, [r for r, _ in rows], [b for _, b in rows], [ones], [F(1)]
+
+
+def decomposition_lp(rng: random.Random):
+    """Feasibility LPs with several equality blocks that share a mix-back
+    row per label, as in the per-rule core decomposition."""
+    parts, labels = rng.randint(2, 3), rng.randint(2, 3)
+    nvars = parts * labels
+    a_eq, b_eq = [], []
+    for p in range(parts):
+        a_eq.append([F(int(v // labels == p)) for v in range(nvars)])
+        b_eq.append(F(1))
+    weights = [F(rng.randint(1, 3)) for _ in range(parts)]
+    total = sum(weights)
+    target = [F(rng.randint(0, 3)) for _ in range(labels)]
+    scale = sum(target) or F(1)
+    for a in range(labels):
+        share = [weights[v // labels] / total for v in range(nvars)]
+        a_eq.append([share[v] if v % labels == a else F(0) for v in range(nvars)])
+        b_eq.append(target[a] / scale if sum(target) else F(1, labels))
+    a_ub = [[F(rng.randint(0, 1)) for _ in range(nvars)] for _ in range(rng.randint(0, 6))]
+    b_ub = [F(rng.randint(0, 3), 3) for _ in a_ub]
+    return [F(0)] * nvars, a_ub, b_ub, a_eq, b_eq
+
+
+GENERATORS = (random_lp, dominance_lp, decomposition_lp)
+CASES = [(gen, seed) for gen in GENERATORS for seed in range(120)]
+
+
+@pytest.mark.parametrize("gen,seed", CASES, ids=[f"{g.__name__}-{s}" for g, s in CASES])
+def test_matches_dense_oracle(gen, seed):
+    lp_args = gen(random.Random(seed))
+    assert solve_lp(*lp_args) == dense_solve_lp(*lp_args)
+
+
+def test_generators_cover_every_outcome():
+    statuses = set()
+    for gen, seed in CASES:
+        statuses.add(solve_lp(*gen(random.Random(seed))).status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize(
+    "lp_args",
+    [
+        # tied most-negative costs and tied ratios at a degenerate vertex
+        ([F(-1), F(-1)], [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]], [F(1), F(1), F(2)], [], []),
+        # negative right-hand sides start their slacks nonbasic
+        ([F(1), F(2)], [[F(-1), F(-1)], [F(-1), F(0)]], [F(-1), F(-1, 2)], [], []),
+        # the second equality repeats the first: its row is dropped
+        ([F(1), F(-1)], [], [], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]),
+        # an all-zero equality row with zero right-hand side
+        ([F(1)], [], [], [[F(0)], [F(1)]], [F(0), F(1)]),
+        # Beale's example cycles under Dantzig's rule with these tie-breaks;
+        # only the switch to Bland's rule after stalled pivots ends it
+        (
+            [F(-3, 4), F(20), F(-1, 2), F(6)],
+            [
+                [F(1, 4), F(-8), F(-1), F(9)],
+                [F(1, 2), F(-12), F(-1, 2), F(3)],
+                [F(0), F(0), F(1), F(0)],
+            ],
+            [F(0), F(0), F(1)],
+            [],
+            [],
+        ),
+        # infeasible, unbounded, and empty
+        ([F(0), F(0)], [[F(1), F(1)]], [F(1, 2)], [[F(1), F(1)]], [F(1)]),
+        ([F(-1), F(0)], [[F(0), F(1)]], [F(1)], [], []),
+        ([], [], [], [], []),
+    ],
+)
+def test_matches_dense_oracle_on_edge_cases(lp_args):
+    assert solve_lp(*lp_args) == dense_solve_lp(*lp_args)
+
+
+def test_objectives_match_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for gen, seed in CASES:
+        c, a_ub, b_ub, a_eq, b_eq = gen(random.Random(seed))
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        ref = scipy_optimize.linprog(
+            [float(v) for v in c],
+            A_ub=[[float(v) for v in row] for row in a_ub] or None,
+            b_ub=[float(v) for v in b_ub] or None,
+            A_eq=[[float(v) for v in row] for row in a_eq] or None,
+            b_eq=[float(v) for v in b_eq] or None,
+            bounds=(0, None),
+            method="highs",
+        )
+        if res.status == "optimal":
+            assert ref.status == 0, (gen.__name__, seed, ref.message)
+            assert abs(float(res.objective) - ref.fun) <= 1e-9, (gen.__name__, seed)
+        else:
+            assert ref.status != 0, (gen.__name__, seed, res.status)

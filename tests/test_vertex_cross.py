@@ -135,7 +135,8 @@ class TestVertexEnumerationAgainstBasisOracle:
             ).lam
             problem = problem_from_info_specs(ground, specs, lam)
             fast = {v.weights for v in identified_vertices(problem)}
-            slow = brute_force_vertices(m, _constraint_rows(problem))
+            rows = _constraint_rows(ground, lam, [r.capacity for r in problem.rules])
+            slow = brute_force_vertices(m, rows)
             assert fast == slow
 
 
