@@ -6,7 +6,6 @@ from .capacity import (
     Capacity,
     GroundSet,
     Measure,
-    MobiusVector,
     capacity_from_mobius,
     core_contains,
     core_vertices,
@@ -34,7 +33,6 @@ __all__ = [
     "Capacity",
     "GroundSet",
     "Measure",
-    "MobiusVector",
     "capacity_from_mobius",
     "core_contains",
     "core_vertices",

@@ -53,6 +53,16 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def carrier_masks(active: int) -> list[int]:
+    """All subsets of ``active`` in increasing order; entry t spreads the bits
+    of t over the bits of ``active``."""
+    masks = [0]
+    for i in range(active.bit_length()):
+        if active >> i & 1:
+            masks += [mask | 1 << i for mask in masks]
+    return masks
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered finite set of alternatives; subsets are bitmasks over it."""
@@ -213,25 +223,30 @@ class Capacity:
                 f"capacity needs {1 << n} values, got {len(self.values)}"
             )
         tol = self.tol
-        if not eq(self.values[0], 0, tol):
+        values = self.values
+        if not eq(values[0], 0, tol):
             raise ValidationError("capacity of the empty set must be 0")
-        if not eq(self.values[-1], 1, tol):
+        if not eq(values[-1], 1, tol):
             raise ValidationError("capacity of the full set must be 1")
-        for mask in range(1 << n):
-            for i in range(n):
-                if not mask >> i & 1:
-                    if not ge(self.values[mask | 1 << i], self.values[mask], tol):
-                        raise ValidationError(
-                            f"capacity not monotone at {self.ground.subset_key(mask)} "
-                            f"+ {self.ground.labels[i]!r}"
-                        )
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")
             if self.carrier > self.ground.full_mask:
                 raise ValidationError("carrier is not a subset of the ground set")
+        # monotone on the carrier's subsets and constant across the carrier
+        # together make the capacity monotone on every subset
+        active = self.active
+        bits = [1 << i for i in range(n) if active >> i & 1]
+        for mask in carrier_masks(active):
+            for bit in bits:
+                if not mask & bit and not ge(values[mask | bit], values[mask], tol):
+                    raise ValidationError(
+                        f"capacity not monotone at {self.ground.subset_key(mask)} "
+                        f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
+                    )
+        if self.carrier is not None:
             for mask in range(1 << n):
-                if not eq(self.values[mask], self.values[mask & self.carrier], tol):
+                if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
 
     @property
@@ -241,6 +256,11 @@ class Capacity:
     @property
     def is_exact(self) -> bool:
         return all_exact(self.values)
+
+    @property
+    def active(self) -> int:
+        """The carrier, or the full ground set when none is attached."""
+        return self.carrier if self.carrier is not None else self.ground.full_mask
 
     def value(self, mask: int) -> Num:
         return self.values[mask]
@@ -255,87 +275,75 @@ class Capacity:
         return cls(p.ground, values, carrier)
 
 
-@dataclass(frozen=True)
-class MobiusVector:
-    """Inclusion-exclusion mass decomposition of a capacity: subset sums of
-    ``mass`` reproduce the capacity values."""
-
-    ground: GroundSet
-    mass: tuple[Num, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mass) != 1 << self.ground.size:
-            raise ValidationError("mass vector has wrong length")
-        if not eq(sum(self.mass), 1, tol_for(self.mass)):
-            raise ValidationError("Moebius masses must total 1")
-
-    def to_capacity(self, carrier: Optional[int] = None) -> Capacity:
-        values = tuple(
-            sum(self.mass[j] for j in submasks(mask)) for mask in self.ground.masks()
-        )
-        return Capacity(self.ground, values, carrier)
-
-
 def is_convex(nu: Capacity) -> bool:
-    """Supermodularity over every pair of subsets: nu(K|K') + nu(K&K') >= nu(K) + nu(K').
+    """Local supermodularity: nu(K+i+j) + nu(K) >= nu(K+i) + nu(K+j).
 
-    The pairwise definition is deliberate; supported ground sets are small and
-    the direct test has no subtle cases.  For a capacity with carrier C the
-    pairs reduce exactly to pairs of subsets of C (values are constant in the
-    other directions), which keeps the test at O(4^|C|).
+    The local inequalities, over labels i, j of the carrier and subsets K of
+    the carrier without them, add up to the pairwise definition
+    nu(K|K') + nu(K&K') >= nu(K) + nu(K'), so they are equivalent to it
+    (Grabisch 2016, ch. 2).  Values are constant in the directions off the
+    carrier, so the test stays on the carrier's subsets: O(|C|^2 2^|C|).
     """
     tol = nu.tol
     values = nu.values
-    active = nu.carrier if nu.carrier is not None else nu.ground.full_mask
-    masks = list(submasks(active))
-    for i, a in enumerate(masks):
-        va = values[a]
-        for b in masks[i + 1:]:
-            if not ge(values[a | b] + values[a & b], va + values[b], tol):
-                return False
+    active = nu.active
+    bits = [1 << i for i in range(nu.ground.size) if active >> i & 1]
+    for a, bit_i in enumerate(bits):
+        for bit_j in bits[a + 1:]:
+            pair = bit_i | bit_j
+            for mask in submasks(active & ~pair):
+                if not ge(
+                    values[mask | pair] + values[mask],
+                    values[mask | bit_i] + values[mask | bit_j],
+                    tol,
+                ):
+                    return False
     return True
 
 
-def mobius(nu: Capacity) -> MobiusVector:
-    """Moebius inversion: mass(K) = sum over J below K of (-1)^|K\\J| nu(J)."""
-    mass = []
-    for mask in nu.ground.masks():
-        bits = mask.bit_count()
-        total = 0
-        for j in submasks(mask):
-            if (bits - j.bit_count()) & 1:
-                total -= nu.values[j]
-            else:
-                total += nu.values[j]
-        mass.append(total)
-    return MobiusVector(nu.ground, tuple(mass))
+def _moebius(values: list[Num], n: int, sign: int) -> list[Num]:
+    """In-place subset-sum transform over bitmasks of n labels, O(n 2^n).
+
+    ``sign=1`` turns masses into values, f(K) = sum over J below K of m(J);
+    ``sign=-1`` inverts it, giving the Moebius masses of a set function.
+    """
+    size = 1 << n
+    for i in range(n):
+        bit = 1 << i
+        for block in range(0, size, bit << 1):
+            for mask in range(block | bit, block + (bit << 1)):
+                if sign > 0:
+                    values[mask] += values[mask ^ bit]
+                else:
+                    values[mask] -= values[mask ^ bit]
+    return values
+
+
+def mobius(nu: Capacity) -> tuple[Num, ...]:
+    """Moebius masses: mass(K) = sum over J below K of (-1)^|K\\J| nu(J)."""
+    return tuple(_moebius(list(nu.values), nu.ground.size, -1))
 
 
 def capacity_from_mobius(
     ground: GroundSet, mass: Sequence[Num], carrier: Optional[int] = None
 ) -> Capacity:
-    return MobiusVector(ground, tuple(mass)).to_capacity(carrier)
+    """The capacity whose Moebius masses are ``mass``."""
+    if len(mass) != 1 << ground.size:
+        raise ValidationError("mass vector has wrong length")
+    return Capacity(ground, tuple(_moebius(list(mass), ground.size, 1)), carrier)
 
 
 def is_belief_function(nu: Capacity) -> bool:
     """Total monotonicity, equivalently all Moebius masses nonnegative.
 
     Masses outside the carrier's powerset vanish for cylindrical capacities,
-    so only subsets of the carrier are inspected.
+    so only the carrier's subsets are transformed.
     """
     tol = nu.tol
-    active = nu.carrier if nu.carrier is not None else nu.ground.full_mask
-    for mask in submasks(active):
-        bits = mask.bit_count()
-        total = 0
-        for j in submasks(mask):
-            if (bits - j.bit_count()) & 1:
-                total -= nu.values[j]
-            else:
-                total += nu.values[j]
-        if not ge(total, 0, tol):
-            return False
-    return True
+    active = nu.active
+    restricted = [nu.values[mask] for mask in carrier_masks(active)]
+    masses = _moebius(restricted, active.bit_count(), -1)
+    return all(ge(m, 0, tol) for m in masses)
 
 
 def core_contains(nu: Capacity, p: Measure) -> bool:
@@ -389,7 +397,7 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
     if not is_convex(nu):
         raise NotConvexError("core_vertices requires a convex capacity")
     ground = nu.ground
-    active = nu.carrier if nu.carrier is not None else ground.full_mask
+    active = nu.active
     idxs = [i for i in range(ground.size) if active >> i & 1]
     vertices = []
     for order in permutations(idxs):
@@ -442,7 +450,7 @@ def mixture(capacities: Sequence[Capacity], weights: Sequence[Num]) -> Capacity:
     carrier = 0
     for w, c in zip(weights, capacities):
         if not eq(w, 0, tol):
-            carrier |= c.carrier if c.carrier is not None else ground.full_mask
+            carrier |= c.active
     return Capacity(ground, values, carrier if carrier else None)
 
 
@@ -475,7 +483,7 @@ def decompose_in_mixture_core(
     nvars = 0
     for ci in active:
         cap = capacities[ci]
-        carrier = cap.carrier if cap.carrier is not None else ground.full_mask
+        carrier = cap.active
         for i in range(n):
             if carrier >> i & 1:
                 var_of[ci][i] = nvars
@@ -487,7 +495,7 @@ def decompose_in_mixture_core(
     b_eq: list[Fraction] = []
     for ci in active:
         cap = capacities[ci]
-        carrier = cap.carrier if cap.carrier is not None else ground.full_mask
+        carrier = cap.active
         row = [Fraction(0)] * nvars
         for i, var in var_of[ci].items():
             row[var] = Fraction(1)
@@ -505,6 +513,8 @@ def decompose_in_mixture_core(
                     row[var] = Fraction(1)
             a_ub.append(row)
             b_ub.append(Fraction(1) - as_fraction(cap.values[mask]) + slack)
+    mix_rows: list[list[Fraction]] = []
+    targets: list[Fraction] = []
     for i in range(n):
         row = [Fraction(0)] * nvars
         covered = False
@@ -521,16 +531,24 @@ def decompose_in_mixture_core(
             elif not eq(p.weights[i], 0, FLOAT_TOL):
                 return None
             continue
-        if exact:
-            a_eq.append(row)
-            b_eq.append(target)
-        else:
-            # float weights cannot meet the mix-back exactly; half the
-            # tolerance on either side leaves room to round the parts to floats
-            a_ub += [row, [-v for v in row]]
-            b_ub += [target + slack / 2, slack / 2 - target]
+        mix_rows.append(row)
+        targets.append(target)
 
-    solution = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, nvars)
+    if exact:
+        solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_rows, b_eq + targets, nvars)
+    else:
+        # float weights cannot meet the mix-back exactly, so it becomes a band.
+        # Half the tolerance on either side leaves room to round the parts to
+        # floats; the full tolerance, which the dominance check allows, is the
+        # fallback for data that sits at the edge of that check.
+        for band in (slack / 2, slack):
+            band_rows, band_rhs = [], []
+            for row, target in zip(mix_rows, targets):
+                band_rows += [row, [-v for v in row]]
+                band_rhs += [target + band, band - target]
+            solution = lp.feasible_point(a_ub + band_rows, b_ub + band_rhs, a_eq, b_eq, nvars)
+            if solution is not None:
+                break
     if solution is None:
         return None
 
@@ -539,7 +557,7 @@ def decompose_in_mixture_core(
 
     out: list[Measure] = []
     for ci, cap in enumerate(capacities):
-        carrier = cap.carrier if cap.carrier is not None else ground.full_mask
+        carrier = cap.active
         if var_of[ci]:
             weights_i = [Fraction(0)] * n
             for i, var in var_of[ci].items():

@@ -223,12 +223,7 @@ def _cmd_capacity_audit(args, doc, exact):
     result: dict[str, Any] = {
         "convex": convex,
         "belief_function": is_belief_function(nu),
-        "carrier": [
-            schemas.label_key(l)
-            for l in nu.ground.labels_of(
-                nu.carrier if nu.carrier is not None else nu.ground.full_mask
-            )
-        ],
+        "carrier": [schemas.label_key(l) for l in nu.ground.labels_of(nu.active)],
         "core_vertex_count": len(core_vertices(nu)) if convex else None,
         "capacity": schemas.capacity_json(nu),
     }

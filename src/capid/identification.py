@@ -432,36 +432,6 @@ def check_menu_homogeneous(
     return Measure(collection.menu_ground(), weights)
 
 
-def menu_homogeneous_sweep(
-    rules: Sequence[DecisionRule],
-    collection: MenuCollection,
-    lam: Measure,
-    step: int = 10,
-) -> list[tuple[tuple[Fraction, ...], Measure]]:
-    """Grid search over Q (weights in multiples of 1/step) for menu-homogeneous
-    rationalizations; returns the feasible (Q, pi) pairs."""
-    ids = tuple(r.rule_id for r in rules)
-    rule_ground = GroundSet(ids)
-    out = []
-    for combo in _simplex_grid(len(ids), step):
-        q = Measure(rule_ground, combo)
-        pi = check_menu_homogeneous(rules, collection, lam, q)
-        if pi is not None:
-            out.append((combo, pi))
-    return out
-
-
-def _simplex_grid(dim: int, step: int):
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (Fraction(remaining, step),)
-            return
-        for units in range(remaining + 1):
-            yield from rec(prefix + (Fraction(units, step),), remaining - units, slots - 1)
-
-    yield from rec(tuple(), step, dim)
-
-
 def problem_from_info_specs(
     ground: GroundSet,
     specs: Sequence[tuple[str, InfoSpec]],

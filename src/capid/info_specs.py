@@ -157,8 +157,7 @@ class ExplicitCapacity(InfoSpec):
         super().__post_init__()
         if self.nu.ground != self.ground:
             raise ValidationError("capacity lives on a different ground set")
-        nu_carrier = self.nu.carrier if self.nu.carrier is not None else self.ground.full_mask
-        if nu_carrier & ~self.carrier:
+        if self.nu.active & ~self.carrier:
             raise ValidationError("capacity carrier exceeds the declared carrier")
 
 

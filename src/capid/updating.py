@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .capacity import Capacity, GroundSet, Measure, core_vertices, is_convex
+# core_vertices is no longer called here, but perfbench/tracing.py rebinds
+# capid.updating.core_vertices, so the name stays importable from this module
+from .capacity import Capacity, GroundSet, Measure, core_vertices, is_convex  # noqa: F401
 from .errors import ValidationError
 from .identification import Verdict, _dominance_verdict
 from .numeric import Num, ge, tol_for
@@ -62,8 +63,11 @@ class OddsGrid:
 class ExperimentModel:
     """Admissible experiments as the core of a convex capacity on signals.
 
-    Every core vertex must put mass strictly below 1 on the null signal;
-    otherwise the inertia floor is undefined and the model is rejected.
+    The core of a convex capacity attains nu(K) for every K, so the null
+    signal's mass over admissible experiments ranges from nu({0}) to
+    1 - nu(X minus {0}).  An experiment that is pure noise (mass 1 on the
+    null signal) leaves the inertia floor undefined, so a model admitting
+    one, i.e. with nu(X minus {0}) = 0, is rejected.
     """
 
     grid: OddsGrid
@@ -74,31 +78,22 @@ class ExperimentModel:
             raise ValidationError("experiment capacity must live on the shifted grid")
         if not is_convex(self.nu):
             raise ValidationError("experiment capacity must be convex")
-        zero_idx = self.grid.null_signal_index
-        tol = self.nu.tol
-        for vertex in self.vertices:
-            if ge(vertex.weights[zero_idx], 1, tol):
-                raise ValidationError(
-                    "an admissible experiment is allowed to be pure noise "
-                    "(mass 1 on the null signal); such models are rejected"
-                )
+        signal = self.nu.ground.full_mask & ~(1 << self.grid.null_signal_index)
+        if self.nu.values[signal] <= self.nu.tol:
+            raise ValidationError(
+                "an admissible experiment is allowed to be pure noise "
+                "(mass 1 on the null signal); such models are rejected"
+            )
 
-    @cached_property
-    def vertices(self) -> tuple[Measure, ...]:
-        return core_vertices(self.nu)
-
-    @cached_property
+    @property
     def kappa_floor(self) -> Num:
         """Largest inertia weight floor over admissible experiments.
 
-        Monotone in the null-signal mass, so the maximum over the core is
-        attained at a vertex.
+        The floor -w/(1-w) falls as the null-signal mass w grows, so the
+        largest one comes from the smallest mass, nu({0}).
         """
-        zero_idx = self.grid.null_signal_index
-        floors = [
-            -v.weights[zero_idx] / (1 - v.weights[zero_idx]) for v in self.vertices
-        ]
-        return max(floors)
+        null = self.nu.values[1 << self.grid.null_signal_index]
+        return -null / (1 - null)
 
 
 @dataclass(frozen=True)

@@ -352,7 +352,7 @@ def synth_like(rng, model, grid):
     """A data draw built from an admissible update: guaranteed rationalizable."""
     from capid.updating import apply_update_rule
 
-    verts = model.vertices
+    verts = core_vertices(model.nu)
     units = [rng.randint(0, 10) for _ in verts]
     if sum(units) == 0:
         units[0] = 1

@@ -3,8 +3,8 @@
 Expected values were derived independently of the implementation: Moebius
 masses by running the inclusion-exclusion sum by hand, greedy core vertices
 by walking both permutations manually, and mixtures/extensions by direct
-pointwise arithmetic.  A brute-force supermodularity checker written inline
-serves as the oracle for the convexity tests.
+pointwise arithmetic.  The pairwise supermodularity check in
+``capacity_oracle`` serves as the oracle for the convexity tests.
 """
 
 from fractions import Fraction as F
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capacity_oracle import brute_force_convex
 from capid import (
     Capacity,
     GroundSet,
@@ -66,15 +67,6 @@ def cardinality_half(ground):
     table = {0: F(0), 1: F(0), 2: F(1, 2), 3: F(1)}
     values = tuple(table[mask.bit_count()] for mask in ground.masks())
     return Capacity(ground, values)
-
-
-def brute_force_convex(nu):
-    """Independent supermodularity oracle: literal check of all pairs."""
-    for a in nu.ground.masks():
-        for b in nu.ground.masks():
-            if nu.values[a | b] + nu.values[a & b] < nu.values[a] + nu.values[b]:
-                return False
-    return True
 
 
 class TestGroundSet:
@@ -156,35 +148,35 @@ class TestIsConvex:
 class TestMobius:
     def test_unanimity_game(self):
         nu = ignorance(ABC, "ab")
-        mv = mobius(nu)
+        mass = mobius(nu)
         expected = {ABC.mask_of("ab"): F(1)}
         for mask in ABC.masks():
-            assert mv.mass[mask] == expected.get(mask, F(0))
+            assert mass[mask] == expected.get(mask, F(0))
 
     def test_probability_measure_masses_on_singletons(self):
         p = meas(ABC, "1/2", "1/3", "1/6")
-        mv = mobius(Capacity.from_measure(p))
+        mass = mobius(Capacity.from_measure(p))
         for mask in ABC.masks():
             if mask.bit_count() == 1:
-                assert mv.mass[mask] == p.mass(mask)
+                assert mass[mask] == p.mass(mask)
             else:
-                assert mv.mass[mask] == 0
+                assert mass[mask] == 0
 
     def test_cardinality_capacity_masses(self):
         # hand inversion: pairs get 1/2, the full set gets -1/2, rest 0
-        mv = mobius(cardinality_half(ABC))
+        mass = mobius(cardinality_half(ABC))
         for mask in ABC.masks():
             k = mask.bit_count()
             if k == 2:
-                assert mv.mass[mask] == F(1, 2)
+                assert mass[mask] == F(1, 2)
             elif k == 3:
-                assert mv.mass[mask] == F(-1, 2)
+                assert mass[mask] == F(-1, 2)
             else:
-                assert mv.mass[mask] == 0
+                assert mass[mask] == 0
 
     def test_round_trip(self):
         nu = cardinality_half(ABC)
-        assert mobius(nu).to_capacity().values == nu.values
+        assert capacity_from_mobius(ABC, mobius(nu)).values == nu.values
 
 
 class TestIsBeliefFunction:
@@ -435,7 +427,7 @@ def test_belief_functions_are_convex(nu):
 @settings(max_examples=60, deadline=None)
 @given(belief_functions(max_n=3))
 def test_mobius_round_trip_exact(nu):
-    assert mobius(nu).to_capacity().values == nu.values
+    assert capacity_from_mobius(nu.ground, mobius(nu)).values == nu.values
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,19 +89,15 @@ class TestWitness:
 
 
 class TestFloatWitness:
-    def test_float_weights_mix_back_within_tolerance(self, capsys, tmp_path):
-        # lambda = 0.5 (1, 0, 0) + 0.3 (0, 1, 0) + 0.2 (0.7, 0.1, 0.2) in
-        # exact decimals; their binary doubles miss the mix-back by about
-        # 1e-17, which made the decomposition LP infeasible before
+    def float_doc(self, tmp_path, lam):
         doc = json.loads(Path(NESTED).read_text())
-        doc["lambda"] = {"a": 0.64, "b": 0.32, "c": 0.04}
+        doc["lambda"] = lam
         path = tmp_path / "float.json"
         path.write_text(json.dumps(doc))
-        q = {"pref:a>b>c": 0.5, "pref:b>a>c": 0.3, "pref:c>b>a": 0.2}
-        code, report = run(
-            capsys, "witness", "--input", str(path), "--mode", "float", "--q", json.dumps(q)
-        )
-        assert code == 0
+        return doc, str(path)
+
+    def assert_witness(self, report, doc, q, mix_bound):
+        """Each part lies in its rule's core and the parts mix back to lambda."""
         witness = report["result"]["witness"]
         problem = schemas.parse_problem(doc, exact=False).problem
         ground = problem.ground
@@ -116,7 +112,35 @@ class TestFloatWitness:
             for i, w in enumerate(part):
                 mixed[i] += q[rule.rule_id] * w
         for i, label in enumerate(ground.labels):
-            assert abs(mixed[i] - doc["lambda"][label]) <= 1e-9
+            assert abs(mixed[i] - doc["lambda"][label]) <= mix_bound
+
+    def test_float_weights_mix_back_within_tolerance(self, capsys, tmp_path):
+        # lambda = 0.5 (1, 0, 0) + 0.3 (0, 1, 0) + 0.2 (0.7, 0.1, 0.2) in
+        # exact decimals; their binary doubles miss the mix-back by about
+        # 1e-17, which made the decomposition LP infeasible before
+        doc, path = self.float_doc(tmp_path, {"a": 0.64, "b": 0.32, "c": 0.04})
+        q = {"pref:a>b>c": 0.5, "pref:b>a>c": 0.3, "pref:c>b>a": 0.2}
+        code, report = run(
+            capsys, "witness", "--input", path, "--mode", "float", "--q", json.dumps(q)
+        )
+        assert code == 0
+        self.assert_witness(report, doc, q, 1e-9)
+
+    def test_witness_of_the_float_exists_answer(self, capsys, tmp_path):
+        # float exists puts 0.600000001 on a>b>c, whose core is the point mass
+        # on a, so the mix-back misses lambda(a) = 0.6 by almost the full
+        # tolerance that the dominance check allows
+        doc, path = self.float_doc(tmp_path, {"a": 0.6, "b": 0.3, "c": 0.1})
+        code, report = run(capsys, "exists", "--input", path, "--mode", "float")
+        assert code == 0 and report["result"]["feasible"] is True
+        q = report["result"]["q"]
+        code, report = run(
+            capsys, "witness", "--input", path, "--mode", "float", "--q", json.dumps(q)
+        )
+        assert code == 0
+        assert report["result"]["verdict"]["rationalizes"] is True
+        # 1e-12 covers rounding the exact parts and weights to doubles
+        self.assert_witness(report, doc, q, 1e-9 + 1e-12)
 
 
 class TestMenuHomog:

@@ -12,6 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
+
 from capid import (
     GroundSet,
     InfeasibleSetError,
@@ -31,7 +33,6 @@ from capid.identification import (
     exists_rationalizing,
     identified_vertices,
     induce_choice_distribution,
-    menu_homogeneous_sweep,
     necessary_check,
     necessary_exists,
     non_redundant_constraints,
@@ -261,10 +262,21 @@ class TestTwoOrderInstance:
         assert pi is not None
         assert pi.weights[2] == F(2, 3)  # the {b,c} menu
 
+    def homogeneous_grid_weights(self, problem, rules, lam):
+        """Q on the step-1/10 grid that admit a shared menu distribution."""
+        return [
+            combo
+            for combo in oracle.weight_grid(2, 10)
+            if check_menu_homogeneous(
+                rules, self.MENUS, lam, Measure(problem.rule_ground(), combo)
+            )
+            is not None
+        ]
+
     def test_sweep_finds_only_equal_split(self):
-        _, rules, lam = self.build()
-        found = menu_homogeneous_sweep(rules, self.MENUS, lam, step=10)
-        assert [combo for combo, _ in found] == [(F(1, 2), F(1, 2))]
+        problem, rules, lam = self.build()
+        found = self.homogeneous_grid_weights(problem, rules, lam)
+        assert found == [(F(1, 2), F(1, 2))]
 
     def test_single_rule_reduces_to_induced_distribution(self):
         _, rules, _ = self.build()
@@ -280,7 +292,7 @@ class TestTwoOrderInstance:
     def test_homogeneous_weights_also_rationalize(self):
         # menu-homogeneity only shrinks the admissible set
         problem, rules, lam = self.build()
-        for combo, _ in menu_homogeneous_sweep(rules, self.MENUS, lam, step=10):
+        for combo in self.homogeneous_grid_weights(problem, rules, lam):
             q = Measure(problem.rule_ground(), combo)
             assert check_rationalizes(problem, q).rationalizes
 
