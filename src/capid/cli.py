@@ -3,12 +3,14 @@
 Every command reads one JSON document, runs one engine query, and writes one
 JSON report.  Verdicts are answers, not errors: "not rationalizable" exits 0.
 Exit codes: 0 success, 1 unreadable input, 2 schema or validation problem,
-3 size cap exceeded, 4 internal failure of an engine query.
+3 size cap exceeded, 4 internal failure: any other error is a fault in capid,
+not in the input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional
@@ -42,6 +44,7 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capid",
@@ -211,14 +214,7 @@ def _cmd_identify_kappa(args, doc, exact):
 
 
 def _cmd_capacity_audit(args, doc, exact):
-    schemas.check_schema(doc)
-    if doc.get("capacity") is not None:
-        nu = schemas.parse_capacity(doc["capacity"], exact)
-    else:
-        ground = schemas.parse_ground(doc.get("labels"))
-        carrier = ground.mask_of(doc["carrier"]) if doc.get("carrier") else ground.full_mask
-        spec = schemas.parse_info_spec(doc.get("info_spec"), ground, carrier, exact)
-        nu = schemas.build_capacity(spec)
+    nu = schemas.parse_audit(doc, exact)
     convex = is_convex(nu)
     result: dict[str, Any] = {
         "convex": convex,
@@ -313,10 +309,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SizeLimitError as exc:
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 3
-    except (ValidationError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 2
-    except CapidError as exc:
+    except Exception as exc:
+        # input that passed validation and still failed is a fault in capid
+        if not isinstance(exc, CapidError):
+            import traceback  # only on this path: start-up does not pay for it
+
+            traceback.print_exc()
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 4
     if args.command == "simulate":

@@ -492,31 +492,3 @@ def necessary_exists(
         return None
     weights = tuple(w if exact else float(w) for w in point)
     return Measure(GroundSet(ids), weights)
-
-
-def non_redundant_constraints(
-    problem: IdentificationProblem,
-) -> list[tuple[int, tuple[Num, ...], Num]]:
-    """The dominance inequalities that survive the structural redundancy sieve.
-
-    Dropped are: subsets with an all-zero coefficient vector (data dominance
-    is automatic), the full set (both sides are identically 1), and any subset
-    whose coefficient vector already appears at a strict subset (monotone data
-    makes the larger inequality follow).  Returns (mask, coefficients, rhs)
-    sorted by mask.
-    """
-    groups: dict[tuple[Num, ...], list[int]] = {}
-    full = problem.ground.full_mask
-    for mask in problem.ground.masks():
-        coeffs = tuple(r.capacity.values[mask] for r in problem.rules)
-        if not any(coeffs) or mask == full:
-            continue
-        groups.setdefault(coeffs, []).append(mask)
-    kept: list[tuple[int, tuple[Num, ...], Num]] = []
-    for coeffs, masks in groups.items():
-        for mask in masks:
-            if any(other != mask and other & mask == other for other in masks):
-                continue
-            kept.append((mask, coeffs, problem.data.mass(mask)))
-    kept.sort(key=lambda item: item[0])
-    return kept

@@ -12,8 +12,11 @@ are exact and never depend on a tolerance.  Two entry points:
 
 ``simplex_polytope_vertices``
     exact vertex enumeration for polytopes of the form
-    ``{x in standard simplex : a_j . x <= b_j}`` via incremental halfspace
-    insertion with a rank-based extremity filter.
+    ``{x in standard simplex : a_j . x <= b_j}`` by double description
+    (Motzkin et al., 1953): incremental halfspace insertion that crosses only
+    adjacent vertex pairs, found by comparing tight-constraint bitsets.
+    ``tests/lp_oracle.py`` keeps the rank-filter enumerator it replaced, which
+    tests every crossing point by exact Gaussian elimination, as the oracle.
 
 Float-mode callers convert their data to Fractions (the binary value of a
 double is exact) and relax inequality right-hand sides by their tolerance
@@ -197,81 +200,45 @@ def feasible_point(
     return res.x if res.status == "optimal" else None
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
-    """Row rank by fraction-exact Gaussian elimination (destructive on a copy)."""
-    mat = [row[:] for row in matrix]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), -1)
-        if piv < 0:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = _ONE / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
-
-
-def _is_vertex(
-    point: Sequence[Fraction],
-    constraints: Sequence[tuple[Row, Fraction]],
-    dim: int,
-) -> bool:
-    """Extremity test: active normals (plus the simplex equality) span R^dim."""
-    rows: list[list[Fraction]] = [[_ONE] * dim]
-    for i, v in enumerate(point):
-        if v == 0:
-            unit = [_ZERO] * dim
-            unit[i] = _ONE
-            rows.append(unit)
-    for coeffs, rhs in constraints:
-        if sum(c * v for c, v in zip(coeffs, point)) == rhs:
-            rows.append(list(coeffs))
-    if len(rows) < dim:
-        return False
-    return _rank(rows) == dim
-
-
 def simplex_polytope_vertices(
     dim: int, constraints: Sequence[tuple[Row, Fraction]]
 ) -> list[tuple[Fraction, ...]]:
     """Exact vertex set of ``{x >= 0, sum x = 1, coeffs.x <= rhs for each constraint}``.
 
-    Incremental halfspace insertion starting from the unit vectors; after each
-    insertion candidate points are deduplicated and filtered down to true
-    extreme points, so intermediate sets never contain interior artifacts.
+    Double description: starting from the unit vectors, each constraint keeps
+    the vertices it does not cut off and adds the point where it crosses each
+    edge between a kept and a cut vertex.  Every vertex carries the bitset of
+    constraints tight at it (bit i for ``x_i >= 0``, bit ``dim + k`` for
+    constraint k), and two vertices span an edge exactly when no third vertex
+    is tight on every constraint they share (Fukuda & Prodon, 1996).  Distinct
+    edges cross the new hyperplane at distinct points, so nothing repeats.
     Returns [] when the polytope is empty.
     """
-    verts: list[tuple[Fraction, ...]] = []
-    for i in range(dim):
-        unit = [_ZERO] * dim
-        unit[i] = _ONE
-        verts.append(tuple(unit))
-    inserted: list[tuple[Row, Fraction]] = []
-    for coeffs, rhs in constraints:
-        slack = [rhs - sum(c * v for c, v in zip(coeffs, vert)) for vert in verts]
-        keep = [v for v, s in zip(verts, slack) if s >= 0]
-        pos = [(v, s) for v, s in zip(verts, slack) if s > 0]
-        neg = [(v, s) for v, s in zip(verts, slack) if s < 0]
-        candidates = {v: None for v in keep}
-        for u, su in pos:
-            for w, sw in neg:
+    full = (1 << dim) - 1
+    verts = [
+        (tuple(_ONE if j == i else _ZERO for j in range(dim)), full ^ (1 << i))
+        for i in range(dim)
+    ]
+    for k, (coeffs, rhs) in enumerate(constraints):
+        bit = 1 << (dim + k)
+        slacks = [rhs - sum(c * v for c, v in zip(coeffs, point)) for point, _ in verts]
+        kept = [(p, z | bit if s == 0 else z) for (p, z), s in zip(verts, slacks) if s >= 0]
+        pos = [(p, z, s) for (p, z), s in zip(verts, slacks) if s > 0]
+        neg = [(p, z, s) for (p, z), s in zip(verts, slacks) if s < 0]
+        tight = [z for _, z in verts]
+        for u, zu, su in pos:
+            for w, zw, sw in neg:
+                common = zu & zw
+                # an edge of a polytope in the (dim - 1)-dimensional simplex
+                # lies on at least dim - 2 of its constraints
+                if common.bit_count() < dim - 2:
+                    continue
+                # distinct vertices have distinct tight sets
+                if any(z & common == common and z != zu and z != zw for z in tight):
+                    continue
                 t = su / (su - sw)
-                point = tuple(a + t * (b - a) for a, b in zip(u, w))
-                candidates[point] = None
-        inserted.append((coeffs, rhs))
-        verts = [
-            v for v in candidates if _is_vertex(v, inserted, dim)
-        ]
-        if not verts:
+                kept.append((tuple(a + t * (b - a) for a, b in zip(u, w)), common | bit))
+        if not kept:
             return []
-    return verts
+        verts = kept
+    return [p for p, _ in verts]

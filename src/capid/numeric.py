@@ -9,6 +9,7 @@ object to the toleranced versions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -63,7 +64,7 @@ def parse_number(value, exact: bool) -> Num:
     (decimals are read at face value, so 0.25 means 1/4).  Float mode
     coerces everything to float.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
         raise ValidationError(f"expected a number, got {value!r}")
     if exact:
         if isinstance(value, int):
@@ -77,13 +78,14 @@ def parse_number(value, exact: bool) -> Num:
             # decimal reading: the JSON text 0.1 means 1/10, not the binary double
             return Fraction(repr(value))
         raise ValidationError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse number {value!r}") from exc
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # a number beyond the largest double has no float-mode value
+        raise ValidationError(f"cannot parse number {value!r}") from exc
     raise ValidationError(f"expected a number, got {value!r}")
 
 

@@ -275,51 +275,77 @@ class ProblemBundle:
         return next(iter(self.collections.values()))
 
 
-def parse_problem(obj, exact: bool) -> ProblemBundle:
-    check_schema(obj)
-    ground = parse_ground(_require(obj, "labels"))
-    lam = parse_measure(_require(obj, "lambda"), ground, exact)
+def _label_mask(obj, ground: GroundSet, what: str) -> int:
+    """Mask of a JSON list of ground-set labels."""
+    if not isinstance(obj, list) or not all(isinstance(label, str) for label in obj):
+        raise ValidationError(f"{what} must be a list of labels")
+    return ground.mask_of(obj)
+
+
+def _parse_rules(obj, ground: GroundSet, exact: bool):
+    """Rule entries of a problem or simulation document, in order.
+
+    Each entry yields ``(entry, rule_id, spec, rule, collection)``; ``rule``
+    and ``collection`` are None for a rule given by its carrier alone.
+    """
     rules_obj = _require(obj, "rules")
     if not isinstance(rules_obj, list) or not rules_obj:
         raise ValidationError("rules must be a nonempty list")
-    problem_rules: list[ProblemRule] = []
-    decision_rules: dict[str, DecisionRule] = {}
-    collections: dict[str, MenuCollection] = {}
+    parsed = []
     for entry in rules_obj:
         if not isinstance(entry, Mapping):
             raise ValidationError("each rule must be an object")
         rule_id = _require(entry, "id")
         if not isinstance(rule_id, str):
             raise ValidationError("rule ids must be strings")
-        carrier: Optional[int] = None
+        rule: Optional[DecisionRule] = None
+        collection: Optional[MenuCollection] = None
         if entry.get("menus") is not None:
             menus = entry["menus"]
             choices_obj = _require(entry, "choices")
             if not isinstance(menus, list) or not isinstance(choices_obj, Mapping):
                 raise ValidationError(f"rule {rule_id!r}: malformed menus or choices")
-            collection = MenuCollection.of(ground, menus)
+            collection = MenuCollection(
+                ground, tuple(_label_mask(menu, ground, "each menu") for menu in menus)
+            )
             choices = []
             for i in range(len(collection.menus)):
-                choices.append(_require(choices_obj, str(i)))
+                choice = _require(choices_obj, str(i))
+                if not isinstance(choice, str):
+                    raise ValidationError(f"rule {rule_id!r}: choices must be labels")
+                choices.append(choice)
             rule = DecisionRule(rule_id, tuple(choices))
             carrier = choice_range(rule, collection)
-            decision_rules[rule_id] = rule
-            collections[rule_id] = collection
             if entry.get("carrier") is not None:
-                declared = ground.mask_of(entry["carrier"])
+                declared = _label_mask(entry["carrier"], ground, "carrier")
                 if declared != carrier:
                     raise ValidationError(
                         f"rule {rule_id!r}: declared carrier disagrees with the "
                         "range of its choices"
                     )
         elif entry.get("carrier") is not None:
-            carrier = ground.mask_of(entry["carrier"])
+            carrier = _label_mask(entry["carrier"], ground, "carrier")
         else:
             raise ValidationError(
                 f"rule {rule_id!r} needs either menus+choices or a carrier"
             )
         spec = parse_info_spec(_require(entry, "info_spec"), ground, carrier, exact)
-        problem_rules.append(ProblemRule(rule_id, carrier, build_capacity(spec)))
+        parsed.append((entry, rule_id, spec, rule, collection))
+    return parsed
+
+
+def parse_problem(obj, exact: bool) -> ProblemBundle:
+    check_schema(obj)
+    ground = parse_ground(_require(obj, "labels"))
+    lam = parse_measure(_require(obj, "lambda"), ground, exact)
+    problem_rules: list[ProblemRule] = []
+    decision_rules: dict[str, DecisionRule] = {}
+    collections: dict[str, MenuCollection] = {}
+    for _, rule_id, spec, rule, collection in _parse_rules(obj, ground, exact):
+        if rule is not None:
+            decision_rules[rule_id] = rule
+            collections[rule_id] = collection
+        problem_rules.append(ProblemRule(rule_id, spec.carrier, build_capacity(spec)))
     problem = IdentificationProblem(ground, tuple(problem_rules), lam)
     return ProblemBundle(problem, decision_rules, collections)
 
@@ -373,24 +399,10 @@ def parse_updating(obj, exact: bool):
 def parse_simulation(obj, exact: bool):
     check_schema(obj)
     ground = parse_ground(_require(obj, "labels"))
-    rules_obj = _require(obj, "rules")
-    if not isinstance(rules_obj, list) or not rules_obj:
-        raise ValidationError("rules must be a nonempty list")
-    entries = []
-    for entry in rules_obj:
-        rule_id = _require(entry, "id")
-        if entry.get("menus") is not None:
-            collection = MenuCollection.of(ground, entry["menus"])
-            choices = tuple(
-                _require(entry["choices"], str(i)) for i in range(len(collection.menus))
-            )
-            rule = DecisionRule(rule_id, choices)
-            carrier = choice_range(rule, collection)
-        else:
-            carrier = ground.mask_of(_require(entry, "carrier"))
-        spec = parse_info_spec(_require(entry, "info_spec"), ground, carrier, exact)
-        entries.append((rule_id, spec, entry))
+    entries = [(rid, spec, entry) for entry, rid, spec, _, _ in _parse_rules(obj, ground, exact)]
     q_obj = _require(obj, "q")
+    if not isinstance(q_obj, Mapping):
+        raise ValidationError("q must be a {rule-id: weight} object")
     rule_ground = GroundSet(tuple(rid for rid, _, _ in entries))
     weights = tuple(parse_number(q_obj.get(rid, 0), exact) for rid, _, _ in entries)
     q = Measure(rule_ground, weights)
@@ -398,6 +410,19 @@ def parse_simulation(obj, exact: bool):
     if not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
     return ground, entries, q, seed
+
+
+def parse_audit(obj, exact: bool) -> Capacity:
+    """The capacity a ``capacity-audit`` document names: given outright, or
+    built from an information specification on a carrier (default: all)."""
+    check_schema(obj)
+    if obj.get("capacity") is not None:
+        return parse_capacity(obj["capacity"], exact)
+    ground = parse_ground(obj.get("labels"))
+    carrier = ground.full_mask
+    if obj.get("carrier"):
+        carrier = _label_mask(obj["carrier"], ground, "carrier")
+    return build_capacity(parse_info_spec(obj.get("info_spec"), ground, carrier, exact))
 
 
 # ---------------------------------------------------------------------------

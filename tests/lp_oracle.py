@@ -1,11 +1,18 @@
-"""Dense two-phase simplex kept as the test oracle for ``capid.lp.solve_lp``.
+"""Dense two-phase simplex and rank-filter vertex enumeration, kept as test
+oracles for ``capid.lp``.
 
-This is the tableau the library used before its condensed form: one column
-per structural, slack and artificial variable, so every pivot touches
+The dense tableau is the one the library used before its condensed form: one
+column per structural, slack and artificial variable, so every pivot touches
 O(R * (R + m)) entries.  Its pivot rules are the ones ``capid.lp`` keeps
 (Dantzig entering with lowest-index ties, Bland after 32 stalled pivots,
 ratio ties to the lowest basic variable, lowest-index artificial drive-out),
 so the two solvers must return identical ``LpResult`` values.
+
+``rank_filter_vertices`` is the vertex enumerator the library used before
+double description: it crosses every pair of vertices on opposite sides of
+each new cut and keeps the candidates whose active constraints have full
+rank, by exact Gaussian elimination.  It must return the same vertex set as
+``capid.lp.simplex_polytope_vertices``.
 """
 
 from __future__ import annotations
@@ -176,3 +183,83 @@ def solve_lp(
             x[basis[r]] = tableau[r][-1]
     value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
     return LpResult("optimal", tuple(x), value)
+
+
+def _rank(matrix: list[list[Fraction]]) -> int:
+    """Row rank by fraction-exact Gaussian elimination (destructive on a copy)."""
+    mat = [row[:] for row in matrix]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    row = 0
+    for col in range(cols):
+        piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), -1)
+        if piv < 0:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = _ONE / mat[row][col]
+        mat[row] = [v * inv for v in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[row])]
+        row += 1
+        rank += 1
+        if row == len(mat):
+            break
+    return rank
+
+
+def _is_vertex(
+    point: Sequence[Fraction],
+    constraints: Sequence[tuple[Row, Fraction]],
+    dim: int,
+) -> bool:
+    """Extremity test: active normals (plus the simplex equality) span R^dim."""
+    rows: list[list[Fraction]] = [[_ONE] * dim]
+    for i, v in enumerate(point):
+        if v == 0:
+            unit = [_ZERO] * dim
+            unit[i] = _ONE
+            rows.append(unit)
+    for coeffs, rhs in constraints:
+        if sum(c * v for c, v in zip(coeffs, point)) == rhs:
+            rows.append(list(coeffs))
+    if len(rows) < dim:
+        return False
+    return _rank(rows) == dim
+
+
+def rank_filter_vertices(
+    dim: int, constraints: Sequence[tuple[Row, Fraction]]
+) -> list[tuple[Fraction, ...]]:
+    """Exact vertex set of ``{x >= 0, sum x = 1, coeffs.x <= rhs for each constraint}``.
+
+    Incremental halfspace insertion starting from the unit vectors; after each
+    insertion candidate points are deduplicated and filtered down to true
+    extreme points, so intermediate sets never contain interior artifacts.
+    Returns [] when the polytope is empty.
+    """
+    verts: list[tuple[Fraction, ...]] = []
+    for i in range(dim):
+        unit = [_ZERO] * dim
+        unit[i] = _ONE
+        verts.append(tuple(unit))
+    inserted: list[tuple[Row, Fraction]] = []
+    for coeffs, rhs in constraints:
+        slack = [rhs - sum(c * v for c, v in zip(coeffs, vert)) for vert in verts]
+        keep = [v for v, s in zip(verts, slack) if s >= 0]
+        pos = [(v, s) for v, s in zip(verts, slack) if s > 0]
+        neg = [(v, s) for v, s in zip(verts, slack) if s < 0]
+        candidates = {v: None for v in keep}
+        for u, su in pos:
+            for w, sw in neg:
+                t = su / (su - sw)
+                point = tuple(a + t * (b - a) for a, b in zip(u, w))
+                candidates[point] = None
+        inserted.append((coeffs, rhs))
+        verts = [
+            v for v in candidates if _is_vertex(v, inserted, dim)
+        ]
+        if not verts:
+            return []
+    return verts

@@ -7,10 +7,17 @@ the data, splitting the rules in half and meeting in the middle so the cost
 is the product of two half-enumerations rather than the full product.
 Everything is Fraction arithmetic, so "no witness found" is a certain
 statement about the grid.
+
+``non_redundant_constraints`` is the structural redundancy sieve over the
+dominance inequalities, which the acceptance and identification tests use to
+name the inequalities that matter on the nested-menu instances.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
+
+from capid.identification import IdentificationProblem
+from capid.numeric import Num
 
 _ZERO = F(0)
 
@@ -73,3 +80,31 @@ def grid_witness_exists(lam_weights, rule_candidates) -> bool:
         if need in left_sums:
             return True
     return False
+
+
+def non_redundant_constraints(
+    problem: IdentificationProblem,
+) -> list[tuple[int, tuple[Num, ...], Num]]:
+    """The dominance inequalities that survive the structural redundancy sieve.
+
+    Dropped are: subsets with an all-zero coefficient vector (data dominance
+    is automatic), the full set (both sides are identically 1), and any subset
+    whose coefficient vector already appears at a strict subset (monotone data
+    makes the larger inequality follow).  Returns (mask, coefficients, rhs)
+    sorted by mask.
+    """
+    groups: dict[tuple[Num, ...], list[int]] = {}
+    full = problem.ground.full_mask
+    for mask in problem.ground.masks():
+        coeffs = tuple(r.capacity.values[mask] for r in problem.rules)
+        if not any(coeffs) or mask == full:
+            continue
+        groups.setdefault(coeffs, []).append(mask)
+    kept: list[tuple[int, tuple[Num, ...], Num]] = []
+    for coeffs, masks in groups.items():
+        for mask in masks:
+            if any(other != mask and other & mask == other for other in masks):
+                continue
+            kept.append((mask, coeffs, problem.data.mass(mask)))
+    kept.sort(key=lambda item: item[0])
+    return kept

@@ -22,7 +22,6 @@ from capid.identification import (
     check_rationalizes,
     choice_range,
     identified_vertices,
-    non_redundant_constraints,
     problem_from_info_specs,
     witness_decomposition,
 )
@@ -71,13 +70,13 @@ def test_acceptance_1_nested_menu_reduction():
         [["a", "b"], ["a", "b", "c"]], ["1/2", "1/4", "1/4"]
     )
     one, zero = F(1), F(0)
-    kept = {(m, c) for m, c, _ in non_redundant_constraints(with_singleton)}
+    kept = {(m, c) for m, c, _ in oracle.non_redundant_constraints(with_singleton)}
     assert kept == {
         (ABC.mask_of("a"), (one, one, zero, zero, zero, zero)),
         (ABC.mask_of("ab"), (one, one, one, one, zero, zero)),
         (ABC.mask_of("ac"), (one, one, zero, zero, one, zero)),
     }
-    kept_without = {(m, c) for m, c, _ in non_redundant_constraints(without_singleton)}
+    kept_without = {(m, c) for m, c, _ in oracle.non_redundant_constraints(without_singleton)}
     assert kept_without == kept | {
         (ABC.mask_of("b"), (zero, zero, one, one, zero, zero)),
         (ABC.mask_of("bc"), (zero, zero, one, one, zero, one)),

@@ -1,11 +1,12 @@
 """Command-line front end tests, run in-process against the shipped fixtures."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from capid import identification, schemas
+from capid import cli, identification, schemas
 from capid.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -256,6 +257,24 @@ class TestDeterminismAndErrors:
         assert report["error"]["type"] == "CapidError"
         assert "decomposition failed" in report["error"]["message"]
 
+    def test_uncaught_exception_exits_4(self, capsys, monkeypatch):
+        def broken(problem):
+            raise TypeError("broken engine")
+
+        monkeypatch.setattr(cli, "exists_rationalizing", broken)
+        code, report = run(capsys, "exists", "--input", TWO_ORDERS)
+        assert code == 4
+        assert report["error"] == {"type": "TypeError", "message": "broken engine"}
+
+    def test_simulate_null_q_exits_2(self, capsys, tmp_path):
+        doc = json.loads(Path(SIMULATE).read_text())
+        doc["q"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, report = run(capsys, "simulate", "--input", str(bad))
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+
     def test_float_mode_runs(self, capsys):
         code, report = run(
             capsys, "check", "--input", NESTED, "--q", QUARTER_Q, "--mode", "float"
@@ -271,3 +290,57 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert report["result"]["interval"] == {"lo": 0.5, "hi": 0.5}
         assert report["result"]["diagnosis"] == "underreaction"
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every object member of a JSON document, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _field_paths(value, prefix + (i,))
+
+
+# the commands run on each mutated fixture; witness, menu-homog and bounds
+# between them read every field of a problem document and run each engine
+SWEEP_COMMANDS = {
+    "nested_menus_six_orders": ("witness", "menu-homog", "bounds"),
+    "nested_menus_six_orders_no_singleton": ("witness", "menu-homog", "bounds"),
+    "two_orders_four_menus": ("witness", "menu-homog", "bounds"),
+    "underreaction_point_experiment": ("identify-kappa",),
+    "point_spec_audit": ("capacity-audit",),
+    "simulate_two_rules": ("simulate",),
+}
+SWEEP_OPTIONS = {
+    "nested_menus_six_orders": ["--q", QUARTER_Q],
+    "nested_menus_six_orders_no_singleton": ["--q", QUARTER_Q],
+    "two_orders_four_menus": ["--q", json.dumps({"pref:a>b>c": "1/2", "pref:a>c>b": "1/2"})],
+    "underreaction_point_experiment": ["--kappa", "1/2"],
+}
+
+
+class TestMalformedDocuments:
+    def test_every_field_replaced_by_junk_is_answered_or_rejected(self, tmp_path):
+        assert sorted(SWEEP_COMMANDS) == sorted(p.stem for p in FIXTURES.glob("*.json"))
+        allowed = {"ValidationError", "NotConvexError", "SizeLimitError"}
+        doc_path, out = tmp_path / "doc.json", tmp_path / "report.json"
+        failures = []
+        for stem, commands in SWEEP_COMMANDS.items():
+            doc = json.loads((FIXTURES / f"{stem}.json").read_text())
+            for path in _field_paths(doc):
+                for junk in (None, 1, "x", [], {}, [1]):
+                    bad = copy.deepcopy(doc)
+                    node = bad
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = junk
+                    doc_path.write_text(json.dumps(bad))
+                    for command in commands:
+                        argv = [command, "--input", str(doc_path), "--output", str(out)]
+                        code = main(argv + SWEEP_OPTIONS.get(stem, []))
+                        error = json.loads(out.read_text()).get("error")
+                        if code not in (0, 2, 3) or (error and error["type"] not in allowed):
+                            failures.append((stem, command, path, junk, code, error))
+        assert not failures, failures[:10]

@@ -35,7 +35,6 @@ from capid.identification import (
     induce_choice_distribution,
     necessary_check,
     necessary_exists,
-    non_redundant_constraints,
     probability_bounds,
     problem_from_info_specs,
     witness_decomposition,
@@ -115,7 +114,7 @@ class TestNestedMenusInstance:
 
     def test_non_redundant_constraints_with_singleton(self):
         problem, _ = ignorance_problem(NESTED_MENUS, ["1/2", "1/4", "1/4"])
-        kept = non_redundant_constraints(problem)
+        kept = oracle.non_redundant_constraints(problem)
         got = {(mask, coeffs) for mask, coeffs, _ in kept}
         one, zero = F(1), F(0)
         assert got == {
@@ -129,8 +128,8 @@ class TestNestedMenusInstance:
         without, _ = ignorance_problem(
             NESTED_MENUS_NO_SINGLETON, ["1/2", "1/4", "1/4"]
         )
-        kept_with = {(m, c) for m, c, _ in non_redundant_constraints(with_menu)}
-        kept_without = {(m, c) for m, c, _ in non_redundant_constraints(without)}
+        kept_with = {(m, c) for m, c, _ in oracle.non_redundant_constraints(with_menu)}
+        kept_without = {(m, c) for m, c, _ in oracle.non_redundant_constraints(without)}
         one, zero = F(1), F(0)
         extra = {
             (ABC.mask_of("b"), (zero, zero, one, one, zero, zero)),

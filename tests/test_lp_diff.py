@@ -1,8 +1,10 @@
-"""Differential tests: the condensed simplex against the dense oracle.
+"""Differential tests: the exact LP kernel against the oracles it replaced.
 
-Both solvers follow the same pivot rules, so on every LP they must return
-the same ``LpResult``: status, exact point and objective.  Where scipy is
-installed, optimal objectives are also compared with HiGHS.
+The condensed simplex and the dense oracle follow the same pivot rules, so on
+every LP they must return the same ``LpResult``: status, exact point and
+objective.  Where scipy is installed, optimal objectives are also compared
+with HiGHS.  Double-description vertex enumeration must return the vertex
+set of the rank-filter oracle, each vertex once.
 """
 
 import random
@@ -10,7 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from capid.lp import solve_lp
+from capid.identification import _constraint_rows, problem_from_info_specs
+from capid.lp import simplex_polytope_vertices, solve_lp
+from capid.simulate import synth_population
+from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
+from lp_oracle import rank_filter_vertices
 from lp_oracle import solve_lp as dense_solve_lp
 
 
@@ -152,3 +158,82 @@ def test_objectives_match_highs():
             assert abs(float(res.objective) - ref.fun) <= 1e-9, (gen.__name__, seed)
         else:
             assert ref.status != 0, (gen.__name__, seed, res.status)
+
+
+def random_polytope(rng: random.Random):
+    """Cuts of the simplex in dimension 1-5 with repeated, scaled and opposite
+    rows, so degenerate vertices, forced equalities, empty sets and sets with
+    fewer vertices than coordinates are all common."""
+    dim = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        coeffs = tuple(_value(rng, -2, 4, rng.choice((0.0, 0.4))) for _ in range(dim))
+        # a right-hand side at the least or greatest coefficient cuts the
+        # simplex down to a face or not at all; one below it empties it
+        lo, hi = min(coeffs), max(coeffs)
+        rhs = lo + (hi - lo) * F(rng.randint(0, 6), 6) - F(rng.random() < 0.05, 2)
+        rows.append((coeffs, rhs))
+    if rows and rng.random() < 0.3:
+        coeffs, rhs = rng.choice(rows)
+        k = F(rng.choice((1, 1, 2, 3)))
+        rows.insert(rng.randrange(len(rows) + 1), (tuple(k * c for c in coeffs), k * rhs))
+    if rows and rng.random() < 0.4:
+        # an opposite pair forces coeffs . x == rhs, which may miss every vertex
+        for _ in range(rng.randint(1, 2)):
+            coeffs = rng.choice(rows)[0]
+            # through a corner of the simplex, or anywhere
+            rhs = rng.choice(coeffs) if rng.random() < 0.7 else rows[0][1]
+            rows.insert(rng.randrange(len(rows) + 1), (tuple(-c for c in coeffs), -rhs))
+            rows.insert(rng.randrange(len(rows) + 1), (coeffs, rhs))
+    return dim, rows
+
+
+POLYTOPE_SEEDS = range(2000)
+
+
+def test_vertices_match_rank_filter_oracle():
+    outcomes = {"empty": 0, "few": 0, "degenerate": 0}
+    for seed in POLYTOPE_SEEDS:
+        dim, rows = random_polytope(random.Random(seed))
+        verts = simplex_polytope_vertices(dim, rows)
+        expected = rank_filter_vertices(dim, rows)
+        assert len(verts) == len(set(verts)), seed
+        assert set(verts) == set(expected), seed
+        if not verts:
+            outcomes["empty"] += 1
+        elif len(verts) < dim:
+            outcomes["few"] += 1
+        elif any(
+            sum(v == 0 for v in x)
+            + sum(sum(c * v for c, v in zip(coeffs, x)) == rhs for coeffs, rhs in rows)
+            > dim - 1
+            for x in verts
+        ):
+            outcomes["degenerate"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_identified_set_vertices_match_rank_filter_oracle():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for case in range(30):
+        ground = random_ground(rng, 2, 6)
+        m = rng.randint(2, 5)
+        specs = []
+        for j in range(m):
+            family = rng.choice(FAMILIES)
+            carrier = random_carrier(rng, ground, 3)
+            specs.append((f"r{j}", random_spec(rng, ground, family, carrier)))
+        ids = [rid for rid, _ in specs]
+        if case % 3:
+            q = random_q(rng, ids)
+            lam = synth_population(ids, [s for _, s in specs], q, rng.randrange(1 << 30)).lam
+        else:
+            lam = random_measure(rng, ground)
+        problem = problem_from_info_specs(ground, specs, lam)
+        rows = _constraint_rows(ground, lam, [r.capacity for r in problem.rules])
+        verts = simplex_polytope_vertices(m, rows)
+        assert len(verts) == len(set(verts)), case
+        assert set(verts) == set(rank_filter_vertices(m, rows)), case
+        nonempty += bool(verts)
+    assert nonempty >= 20

@@ -39,6 +39,21 @@ class TestNumberRoundTrip:
         assert parse_number("1/2", exact=False) == 0.5
         assert parse_number(3, exact=False) == 3.0
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("-inf"), float("nan"), "1e400", 10**400],
+        ids=["inf", "-inf", "nan", "1e400-text", "10**400"],
+    )
+    def test_non_finite_and_overflowing_numbers_are_rejected(self, value, exact):
+        from capid.numeric import parse_number
+
+        if exact and not isinstance(value, float):
+            assert parse_number(value, exact) == F(10) ** 400
+        else:
+            with pytest.raises(ValidationError):
+                parse_number(value, exact)
+
 
 class TestCapacityJson:
     def test_round_trip(self):
