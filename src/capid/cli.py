@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from . import schemas
 from .capacity import core_vertices, is_belief_function, is_convex
-from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
+from .errors import InfeasibleSetError, SizeLimitError, ValidationError
 from .identification import (
     check_menu_homogeneous,
     check_rationalizes,
@@ -314,10 +314,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except Exception as exc:
         # input that passed validation and still failed is a fault in capid
-        if not isinstance(exc, CapidError):
-            import traceback  # only on this path: start-up does not pay for it
+        import traceback  # only on this path: start-up does not pay for it
 
-            traceback.print_exc()
+        traceback.print_exc()
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 4
     if args.command == "simulate":
