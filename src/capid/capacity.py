@@ -8,10 +8,10 @@ into floats (comparisons then carry a 1e-9 absolute tolerance).
 
 The module provides the full toolkit needed downstream: convexity
 (supermodularity) testing, the Moebius inversion and the belief-function
-test, core membership, greedy enumeration of core vertices for convex
-capacities, lower envelopes, pointwise mixtures with exact core
-decomposition, cylindrical extension from a carrier, and pushforwards along
-point maps.
+test, core membership, the core vertices of convex capacities as distinct
+marginal vectors built over prefix sets, lower envelopes, pointwise mixtures
+with exact core decomposition, cylindrical extension from a carrier, and
+pushforwards along point maps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lp
@@ -30,6 +29,10 @@ from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, ge, tol_for
 Label = Hashable
 
 _DEFAULT_MAX_N = 20
+
+#: Cap on the candidate vectors core_vertices may generate: about 2.5 s of
+#: work, enough for every ordering of 8 labels (109,600 candidates).
+MAX_CORE_CANDIDATES = 250_000
 
 
 def _max_ground_size() -> int:
@@ -244,7 +247,11 @@ class Capacity:
                         f"capacity not monotone at {self.ground.subset_key(mask)} "
                         f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
                     )
-        if self.carrier is not None:
+        # values spread from the carrier's subsets pass at once; the toleranced
+        # comparison runs only when some value differs from its spread
+        if self.carrier is not None and values != tuple(
+            values[mask & active] for mask in range(1 << n)
+        ):
             for mask in range(1 << n):
                 if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
@@ -388,29 +395,47 @@ def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
 def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
     """Exact vertex set of the core of a convex capacity.
 
-    One marginal vector per ordering of the active labels: each label receives
-    the capacity increment of the growing prefix.  For convex capacities these
-    vectors are precisely the extreme points of the core; duplicates collapse.
-    Raises NotConvexError otherwise, where marginal vectors stop being a
-    vertex description.
+    The vertices are the marginal vectors of the orderings of the active
+    labels, each label receiving the capacity increment of the growing prefix
+    (Shapley 1971).  Many orderings share a vector, so instead of walking all
+    |C|! of them this keeps, for each prefix set S, the distinct tails: the
+    increment vectors on the labels outside S, built from the tails of S+i
+    over i in ascending order.  The vertices come out in the order in which
+    the lexicographic walk over orderings first meets them.  Raises
+    SizeLimitError past MAX_CORE_CANDIDATES candidate tails, and
+    NotConvexError for a capacity that is not convex, where marginal vectors
+    stop being a vertex description.
     """
     if not is_convex(nu):
         raise NotConvexError("core_vertices requires a convex capacity")
     ground = nu.ground
+    values = nu.values
     active = nu.active
-    idxs = [i for i in range(ground.size) if active >> i & 1]
-    vertices = []
-    for order in permutations(idxs):
-        weights: list[Num] = [0] * ground.size
-        prefix = 0
-        prev = nu.values[0]
-        for i in order:
-            prefix |= 1 << i
-            cur = nu.values[prefix]
-            weights[i] = cur - prev
-            prev = cur
-        vertices.append(Measure(ground, tuple(weights), active))
-    return tuple(_dedupe_measures(vertices))
+    bits = [(1 << i, i) for i in range(ground.size) if active >> i & 1]
+    # _dedupe_measures compares a vector that holds a float only with other
+    # such vectors, so when values mix floats and exact numbers, equal tails
+    # merge only if both hold a float or neither does
+    mixed = not nu.is_exact and not all(isinstance(v, float) for v in values)
+    tails: dict[int, list[tuple[Num, ...]]] = {active: [(0,) * ground.size]}
+    candidates = 0
+    for prefix in reversed(carrier_masks(active)[:-1]):
+        candidates += sum(len(tails[prefix | bit]) for bit, _ in bits if not prefix & bit)
+        if candidates > MAX_CORE_CANDIDATES:
+            raise SizeLimitError(
+                f"core vertex enumeration on {len(bits)} labels needs more than "
+                f"{MAX_CORE_CANDIDATES} candidate vectors"
+            )
+        level: dict = {}
+        for bit, i in bits:
+            if prefix & bit:
+                continue
+            step = values[prefix | bit] - values[prefix]
+            for tail in tails[prefix | bit]:
+                vector = tail[:i] + (step,) + tail[i + 1:]
+                key = (vector, not all_exact(vector)) if mixed else vector
+                level.setdefault(key, vector)
+        tails[prefix] = list(level.values())
+    return tuple(_dedupe_measures(Measure(ground, v, active) for v in tails[0]))
 
 
 def lower_probability(vertices: Sequence[Measure], ground: GroundSet) -> Capacity:
@@ -564,12 +589,24 @@ def decompose_in_mixture_core(
                 weights_i[i] = solution[var]
             out.append(Measure(ground, tuple(_back(w) for w in weights_i), carrier))
         else:
-            # zero-weight component: any core member will do; use a greedy vertex
-            try:
-                out.append(core_vertices(cap)[0])
-            except NotConvexError:
+            # zero-weight component: any core member will do, and for a convex
+            # capacity the first vertex core_vertices lists is one
+            if not is_convex(cap):
                 return None
+            out.append(_ascending_marginal_vector(cap))
     return out
+
+
+def _ascending_marginal_vector(nu: Capacity) -> Measure:
+    """The marginal vector of the active labels in ascending order, which
+    core_vertices lists first, without enumerating the others."""
+    weights: list[Num] = [0] * nu.ground.size
+    prefix = 0
+    for i in range(nu.ground.size):
+        if nu.active >> i & 1:
+            weights[i] = nu.values[prefix | 1 << i] - nu.values[prefix]
+            prefix |= 1 << i
+    return Measure(nu.ground, tuple(weights), nu.active)
 
 
 def cylindrical_extension(nu_on_c: Capacity, ground: GroundSet) -> Capacity:

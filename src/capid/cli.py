@@ -16,8 +16,10 @@ import sys
 from typing import Any, Optional
 
 from . import schemas
-from .capacity import core_vertices, is_belief_function, is_convex
-from .errors import InfeasibleSetError, SizeLimitError, ValidationError
+# is_convex is no longer called here, but perfbench/tracing.py rebinds
+# capid.cli.is_convex, so the name stays importable from this module
+from .capacity import core_vertices, is_belief_function, is_convex  # noqa: F401
+from .errors import InfeasibleSetError, NotConvexError, SizeLimitError, ValidationError
 from .identification import (
     check_menu_homogeneous,
     check_rationalizes,
@@ -215,12 +217,16 @@ def _cmd_identify_kappa(args, doc, exact):
 
 def _cmd_capacity_audit(args, doc, exact):
     nu = schemas.parse_audit(doc, exact)
-    convex = is_convex(nu)
+    # core_vertices runs the one convexity test and raises when it fails
+    try:
+        vertex_count: Optional[int] = len(core_vertices(nu))
+    except NotConvexError:
+        vertex_count = None
     result: dict[str, Any] = {
-        "convex": convex,
+        "convex": vertex_count is not None,
         "belief_function": is_belief_function(nu),
         "carrier": [schemas.label_key(l) for l in nu.ground.labels_of(nu.active)],
-        "core_vertex_count": len(core_vertices(nu)) if convex else None,
+        "core_vertex_count": vertex_count,
         "capacity": schemas.capacity_json(nu),
     }
     return result

@@ -17,11 +17,24 @@ import gen
 from capacity_oracle import (
     brute_force_convex,
     inclusion_exclusion,
+    literal_core_vertices,
     subset_sums,
     valid_capacity,
     vertex_kappa_facts,
 )
-from capid import Capacity, GroundSet, ValidationError, capacity_from_mobius, mobius
+from capid import (
+    Capacity,
+    GroundSet,
+    Measure,
+    NotConvexError,
+    SizeLimitError,
+    ValidationError,
+    capacity,
+    capacity_from_mobius,
+    core_vertices,
+    decompose_in_mixture_core,
+    mobius,
+)
 from capid.capacity import _moebius, carrier_masks, is_belief_function, is_convex
 from capid.updating import ExperimentModel, OddsGrid
 
@@ -129,6 +142,153 @@ class TestMoebius:
     def test_wrong_length_mass_vector(self):
         with pytest.raises(ValidationError):
             capacity_from_mobius(GroundSet.of("ab"), [F(0), F(1)])
+
+
+def random_convex_capacity(rng, kind):
+    """A belief function on up to six labels, with or without a carrier.
+
+    ``belief``: random focal sets.  ``blocks``: the carrier cut into disjoint
+    focal blocks, so many orderings share a vertex.  ``strict``: mass on every
+    pair as well, which makes the capacity strictly supermodular and every
+    ordering's vertex distinct.  A quarter are floats: the masses are counted
+    in units that total a power of two, so every value is exact in binary.
+    """
+    n = rng.randint(1, 6)
+    ground = GroundSet.of(LABELS[:n])
+    carrier = rng.randint(1, ground.full_mask) if rng.random() < 0.5 else None
+    active = ground.full_mask if carrier is None else carrier
+    bits = [1 << i for i in range(n) if active >> i & 1]
+    units = [0] * (1 << n)
+    top = active
+    if kind == "blocks":
+        rng.shuffle(bits)
+        cuts = sorted(rng.sample(range(1, len(bits)), rng.randint(0, len(bits) - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [len(bits)]):
+            top = sum(bits[lo:hi])
+            units[top] = rng.randint(1, 4)
+    else:
+        for mask in carrier_masks(active)[1:]:
+            if rng.random() < 0.4:
+                units[mask] = rng.randint(1, 4)
+        if kind == "strict":
+            for a, bit in enumerate(bits):
+                for other in bits[a + 1:]:
+                    units[bit | other] += rng.randint(1, 3)
+    total = 1 << max(sum(units), 1).bit_length()
+    units[top] += total - sum(units)
+    scale = 1.0 / total if rng.random() < 0.25 else F(1, total)
+    return capacity_from_mobius(ground, [u * scale for u in units], carrier)
+
+
+def identity_order_vertex(nu):
+    """The marginal vector of the labels taken in ascending order."""
+    weights = [0] * nu.ground.size
+    prefix = 0
+    for i in range(nu.ground.size):
+        if nu.active >> i & 1:
+            weights[i] = nu.values[prefix | 1 << i] - nu.values[prefix]
+            prefix |= 1 << i
+    return tuple(weights)
+
+
+def typed(weights):
+    return [(type(w), w) for w in weights]
+
+
+class TestCoreVertices:
+    def test_prefix_sets_match_ordering_walk(self):
+        rng = random.Random(1971)
+        kinds = {"belief": 0, "blocks": 0, "strict": 0}
+        carriers = floats = shared = 0
+        for _ in range(420):
+            kind = rng.choice(tuple(kinds))
+            nu = random_convex_capacity(rng, kind)
+            expected = literal_core_vertices(nu)
+            got = core_vertices(nu)
+            assert [typed(v.weights) for v in got] == [typed(v.weights) for v in expected]
+            assert all(v.carrier == nu.active for v in got)
+            assert got[0].weights == identity_order_vertex(nu)
+            kinds[kind] += 1
+            carriers += nu.carrier is not None
+            floats += not nu.is_exact
+            orderings = math.factorial(nu.active.bit_count())
+            if kind == "strict":
+                assert len(got) == orderings
+            shared += len(got) < orderings
+        assert min(kinds.values()) >= 100
+        assert carriers >= 150 and floats >= 60 and shared >= 100
+
+    def test_not_convex_raises_like_the_walk(self):
+        rng = random.Random(1972)
+        rejected = 0
+        for _ in range(200):
+            ground, values, carrier = random_capacity(rng)
+            try:
+                nu = Capacity(ground, tuple(values), carrier)
+            except ValidationError:
+                continue
+            if is_convex(nu):
+                continue
+            for enumerate_vertices in (literal_core_vertices, core_vertices):
+                with pytest.raises(NotConvexError):
+                    enumerate_vertices(nu)
+            rejected += 1
+        assert rejected >= 30
+
+    @pytest.mark.parametrize("blocks", [None, (1, 1, 1, 1, 1), (2, 3), (1, 4), (5,)])
+    def test_candidates_are_counted_against_the_cap(self, monkeypatch, blocks):
+        # A candidate is a tail of T = S + i extended by i, so there are |T|
+        # times |tails(T)| of them per T.  On a strictly supermodular capacity
+        # (blocks=None) every tail is distinct, (5 - |T|)! of them.  When the
+        # focal sets are disjoint blocks, a block's mass goes to its last label
+        # in the ordering, so a tail has one choice per label of each block
+        # that T leaves unfinished.
+        ground = GroundSet.of(LABELS[:5])
+        if blocks is None:
+            nu = Capacity(ground, tuple(F(m.bit_count() ** 2, 25) for m in ground.masks()))
+        else:
+            block_masks = [((1 << size) - 1) << sum(blocks[:b]) for b, size in enumerate(blocks)]
+            mass = [F(0)] * 32
+            for block in block_masks:
+                mass[block] = F(1, len(blocks))
+            nu = capacity_from_mobius(ground, mass)
+        count = 0
+        for held in range(1, 32):
+            if blocks is None:
+                tails = math.factorial(5 - held.bit_count())
+            else:
+                tails = math.prod(max((b & ~held).bit_count(), 1) for b in block_masks)
+            count += held.bit_count() * tails
+        monkeypatch.setattr(capacity, "MAX_CORE_CANDIDATES", count)
+        assert len(core_vertices(nu)) == len(literal_core_vertices(nu))
+        monkeypatch.setattr(capacity, "MAX_CORE_CANDIDATES", count - 1)
+        with pytest.raises(SizeLimitError):
+            core_vertices(nu)
+
+    def test_zero_weight_component_gets_the_first_vertex(self):
+        rng = random.Random(1973)
+        for _ in range(60):
+            nu = random_convex_capacity(rng, rng.choice(("belief", "blocks", "strict")))
+            p = literal_core_vertices(nu)[0]
+            parts = decompose_in_mixture_core(p, [nu, nu], [F(1), F(0)])
+            assert typed(parts[1].weights) == typed(p.weights) and parts[1].carrier == p.carrier
+        # nine labels whose orderings all give distinct vertices: past the cap
+        # for core_vertices, but one vertex is all a zero-weight part needs
+        ground = GroundSet.of([f"x{i}" for i in range(9)])
+        strict = Capacity(ground, tuple(F(m.bit_count() ** 2, 81) for m in ground.masks()))
+        p = Measure.point(ground, "x0")
+        parts = decompose_in_mixture_core(p, [Capacity.from_measure(p), strict], [F(1), F(0)])
+        assert parts[1].weights == identity_order_vertex(strict)
+
+    def test_equal_exact_and_float_vectors_both_survive(self):
+        # values that mix Fractions and floats: the orderings a,b and b,a give
+        # (1/2, 1/2) once exactly and once in floats, and the walk keeps both
+        nu = Capacity(GroundSet.of("ab"), (F(0), F(1, 2), 0.5, F(1)))
+        expected = literal_core_vertices(nu)
+        assert len(expected) == 2
+        assert [typed(v.weights) for v in core_vertices(nu)] == [
+            typed(v.weights) for v in expected
+        ]
 
 
 class TestValidation:

@@ -2,11 +2,12 @@
 
 import copy
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from capid import cli, identification, schemas
+from capid import Capacity, GroundSet, capacity_from_mobius, cli, identification, schemas
 from capid.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -184,6 +185,45 @@ class TestCapacityAudit:
         assert result["convex"] is True
         assert result["belief_function"] is True
         assert result["core_vertex_count"] == 1
+
+    @staticmethod
+    def _audit_doc(tmp_path, nu):
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps({"schema": "capid/1", "capacity": schemas.capacity_json(nu)}))
+        return str(path)
+
+    def test_strictly_convex_nine_labels_exits_3(self, capsys, tmp_path):
+        # all 9! orderings give distinct vertices: the enumeration stops at its cap
+        ground = GroundSet.of([f"x{i}" for i in range(9)])
+        nu = Capacity(ground, tuple(F(m.bit_count() ** 2, 81) for m in ground.masks()))
+        code, report = run(capsys, "capacity-audit", "--input", self._audit_doc(tmp_path, nu))
+        assert code == 3
+        assert report["error"]["type"] == "SizeLimitError"
+
+    def test_disjoint_blocks_on_twelve_labels(self, capsys, tmp_path):
+        # one vertex per choice of a label in each focal block, out of 12! orderings
+        blocks = (2, 3, 3, 4)
+        ground = GroundSet.of([f"x{i}" for i in range(12)])
+        mass = [F(0)] * (1 << 12)
+        for b, size in enumerate(blocks):
+            mass[((1 << size) - 1) << sum(blocks[:b])] = F(1, len(blocks))
+        nu = capacity_from_mobius(ground, mass)
+        code, report = run(capsys, "capacity-audit", "--input", self._audit_doc(tmp_path, nu))
+        assert code == 0
+        result = report["result"]
+        assert result["convex"] is True and result["belief_function"] is True
+        assert result["core_vertex_count"] == 2 * 3 * 3 * 4
+
+    def test_not_convex(self, capsys, tmp_path):
+        ground = GroundSet.of("abc")
+        nu = Capacity(ground, (F(0), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1)))
+        code, report = run(capsys, "capacity-audit", "--input", self._audit_doc(tmp_path, nu))
+        assert code == 0
+        assert list(report["result"]) == [
+            "convex", "belief_function", "carrier", "core_vertex_count", "capacity"
+        ]
+        assert report["result"]["convex"] is False
+        assert report["result"]["core_vertex_count"] is None
 
 
 class TestSimulate:
