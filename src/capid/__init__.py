@@ -13,7 +13,6 @@ from .capacity import (
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
-    lower_probability,
     mixture,
     mobius,
     pushforward,
@@ -40,7 +39,6 @@ __all__ = [
     "decompose_in_mixture_core",
     "is_belief_function",
     "is_convex",
-    "lower_probability",
     "mixture",
     "mobius",
     "pushforward",

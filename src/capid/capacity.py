@@ -9,9 +9,9 @@ into floats (comparisons then carry a 1e-9 absolute tolerance).
 The module provides the full toolkit needed downstream: convexity
 (supermodularity) testing, the Moebius inversion and the belief-function
 test, core membership, the core vertices of convex capacities as distinct
-marginal vectors built over prefix sets, lower envelopes, pointwise mixtures
-with exact core decomposition, cylindrical extension from a carrier, and
-pushforwards along point maps.
+marginal vectors built over prefix sets, pointwise mixtures with exact core
+decomposition, cylindrical extension from a carrier, and pushforwards along
+point maps.  ``mass_table`` gives a vector's sums over every subset at once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
-from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, ge, tol_for
+from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, fold_sum, ge, tol_for
 
 Label = Hashable
 
@@ -54,6 +54,18 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def mass_table(weights: Sequence[Num]) -> list[Num]:
+    """The sum of ``weights`` over every subset, indexed by mask, in O(2^n).
+
+    Entry K adds K's weights to int 0 in ascending index order, as
+    ``Measure.mass`` does, so the two agree bit for bit in both modes.
+    """
+    table: list[Num] = [0]
+    for w in weights:
+        table += [x + w for x in table]
+    return table
 
 
 def carrier_masks(active: int) -> list[int]:
@@ -165,7 +177,7 @@ class Measure:
         return all_exact(self.weights)
 
     def mass(self, mask: int) -> Num:
-        return sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
+        return fold_sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
 
     def weight(self, label: Label) -> Num:
         return self.weights[self.ground.index(label)]
@@ -274,7 +286,7 @@ class Capacity:
 
     @classmethod
     def from_measure(cls, p: Measure, carrier: Optional[int] = None) -> "Capacity":
-        values = tuple(p.mass(mask) for mask in p.ground.masks())
+        values = tuple(mass_table(p.weights))
         if carrier is None:
             carrier = p.carrier if p.carrier is not None else p.support()
             if carrier == 0:
@@ -358,18 +370,7 @@ def core_contains(nu: Capacity, p: Measure) -> bool:
     if p.ground != nu.ground:
         raise ValidationError("measure and capacity live on different ground sets")
     tol = tol_for(nu.values, p.weights)
-    prefix = _mass_table(p)
-    return all(ge(prefix[mask], nu.values[mask], tol) for mask in nu.ground.masks())
-
-
-def _mass_table(p: Measure) -> list[Num]:
-    """p(K) for all masks K, built by dynamic programming in O(n 2^n)."""
-    n = p.ground.size
-    table: list[Num] = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + p.weights[low.bit_length() - 1]
-    return table
+    return all(ge(pk, nuk, tol) for pk, nuk in zip(mass_table(p.weights), nu.values))
 
 
 def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
@@ -436,25 +437,6 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
                 level.setdefault(key, vector)
         tails[prefix] = list(level.values())
     return tuple(_dedupe_measures(Measure(ground, v, active) for v in tails[0]))
-
-
-def lower_probability(vertices: Sequence[Measure], ground: GroundSet) -> Capacity:
-    """Lower envelope nu(K) = min over the given measures of p(K).
-
-    The minimum of a linear functional over a polytope sits at a vertex, so
-    feeding the vertex set of any credal set recovers its lower probability.
-    """
-    if not vertices:
-        raise ValidationError("lower_probability needs at least one measure")
-    for p in vertices:
-        if p.ground != ground:
-            raise ValidationError("all measures must live on the stated ground set")
-    tables = [_mass_table(p) for p in vertices]
-    values = tuple(min(t[mask] for t in tables) for mask in ground.masks())
-    carrier = 0
-    for p in vertices:
-        carrier |= p.support()
-    return Capacity(ground, values, carrier if carrier else None)
 
 
 def mixture(capacities: Sequence[Capacity], weights: Sequence[Num]) -> Capacity:

@@ -14,17 +14,17 @@ is linear programming or exact vertex enumeration:
   an admissible Q, and ``construct_menu_measures`` lifts them to menu
   distributions;
 * ``check_menu_homogeneous`` additionally forces a single menu distribution
-  shared by all rules;
-* ``necessary_check`` / ``necessary_exists`` run the dominance test against
-  the lower envelope of an arbitrary finite credal set, where failure refutes
-  and success does not certify.
+  shared by all rules.
+
+The verdicts and the LP rows all come from one source, ``_dominance_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from itertools import count
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import lp
 from .capacity import (
@@ -33,12 +33,12 @@ from .capacity import (
     Label,
     Measure,
     decompose_in_mixture_core,
-    lower_probability,
+    mass_table,
     pushforward_measure,
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
-from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, tol_for
+from .numeric import FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
 MAX_RULES_FOR_VERTICES = 8
@@ -170,29 +170,19 @@ class IdentificationProblem:
     def rule_ground(self) -> GroundSet:
         return GroundSet(tuple(r.rule_id for r in self.rules))
 
-    @property
-    def tol(self) -> Num:
-        streams = [self.data.weights]
-        streams.extend(r.capacity.values for r in self.rules)
-        return tol_for(*streams)
-
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a dominance check; ``violated`` holds (subset mask, shortfall).
-
-    ``necessary_only`` marks verdicts produced from a lower envelope without
-    the core assumption: a failure refutes, a pass does not certify.
-    """
+    """Outcome of a dominance check; ``violated`` holds (subset mask, shortfall)."""
 
     rationalizes: bool
     violated: tuple[tuple[int, Num], ...]
     violation_count: int
-    necessary_only: bool = False
 
     def __post_init__(self) -> None:
+        # capid builds every verdict, so a mismatch is its own fault
         if self.rationalizes != (self.violation_count == 0):
-            raise ValidationError("verdict flag inconsistent with violations")
+            raise CapidError("verdict flag inconsistent with violations")
 
 
 def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
@@ -205,77 +195,84 @@ def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
     return list(q.weights)
 
 
-def _dominance_verdict(
-    ground: GroundSet,
-    lam: Measure,
-    capacities: Sequence[Capacity],
-    weights: Sequence[Num],
-    necessary_only: bool = False,
+def _dominance_rows(
+    lam: Measure, capacities: Sequence[Capacity]
+) -> tuple[bool, Iterator[tuple[int, tuple[Num, ...], Num]]]:
+    """The dominance family lam(K) >= sum_d Q(d) nu_d(K), one row per subset K.
+
+    Returns whether every number is exact, decided once, and a single-pass
+    iterator over the rows (K, the capacities' values at K, lam(K)) in mask
+    order, with lam's subset sums read off one table.
+    """
+    exact = lam.is_exact and all(c.is_exact for c in capacities)
+    columns = zip(*(c.values for c in capacities))
+    return exact, zip(count(), columns, mass_table(lam.weights))
+
+
+def dominance_verdict(
+    lam: Measure, capacities: Sequence[Capacity], weights: Sequence[Num]
 ) -> Verdict:
-    tol = tol_for(lam.weights, weights, *(c.values for c in capacities))
+    """Scan every dominance row at the mixing weights; at most
+    MAX_REPORTED_VIOLATIONS shortfalls are listed, all are counted."""
+    exact, rows = _dominance_rows(lam, capacities)
+    tol = ZERO if exact and all_exact(weights) else FLOAT_TOL
     violations: list[tuple[int, Num]] = []
-    count = 0
-    for mask in ground.masks():
-        rhs = sum(w * c.values[mask] for w, c in zip(weights, capacities))
-        shortfall = rhs - lam.mass(mask)
+    violation_count = 0
+    for mask, column, lam_k in rows:
+        shortfall = fold_sum(w * v for w, v in zip(weights, column)) - lam_k
         if shortfall > tol:
-            count += 1
+            violation_count += 1
             if len(violations) < MAX_REPORTED_VIOLATIONS:
                 violations.append((mask, shortfall))
-    return Verdict(
-        rationalizes=count == 0,
-        violated=tuple(violations),
-        violation_count=count,
-        necessary_only=necessary_only,
-    )
+    return Verdict(violation_count == 0, tuple(violations), violation_count)
 
 
 def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
     """Evaluate the dominance inequalities for every subset at the given Q."""
     weights = _q_weights(problem.rules, q)
-    return _dominance_verdict(
-        problem.ground, problem.data, [r.capacity for r in problem.rules], weights
-    )
+    return dominance_verdict(problem.data, [r.capacity for r in problem.rules], weights)
 
 
-def _constraint_rows(
-    ground: GroundSet, lam: Measure, capacities: Sequence[Capacity]
-) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Dominance inequalities as LP rows ``coeffs . Q <= rhs``, one per subset.
+def _lp_rows(
+    problem: IdentificationProblem,
+) -> tuple[bool, list[tuple[tuple[Fraction, ...], Fraction]]]:
+    """Exactness and the dominance rows as LP rows ``coeffs . Q <= rhs``.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
-    In float mode right-hand sides gain the standard feasibility slack.
+    In float mode right-hand sides gain the standard feasibility slack.  Rows
+    come out sorted.
     """
-    exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
-    slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
+    exact, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
+    slack = ZERO if exact else Fraction(FLOAT_TOL)
     best: dict[tuple[Fraction, ...], Fraction] = {}
-    for mask in ground.masks():
-        coeffs = tuple(as_fraction(c.values[mask]) for c in capacities)
-        if not any(coeffs):
+    for _, column, lam_k in rows:
+        if not any(column):
             continue
-        rhs = as_fraction(lam.mass(mask)) + slack
+        coeffs = tuple(as_fraction(v) for v in column)
+        rhs = as_fraction(lam_k) + slack
         if coeffs not in best or rhs < best[coeffs]:
             best[coeffs] = rhs
-    return sorted(best.items())
+    return exact, sorted(best.items())
+
+
+def _measure_over_rules(
+    problem: IdentificationProblem, point: Sequence[Fraction], exact: bool
+) -> Measure:
+    weights = tuple(w if exact else float(w) for w in point)
+    return Measure(problem.rule_ground(), weights)
 
 
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
     """Some admissible Q, or None when the identified set is empty."""
     m = len(problem.rules)
-    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
+    exact, rows = _lp_rows(problem)
     a_ub = [list(coeffs) for coeffs, _ in rows]
     b_ub = [rhs for _, rhs in rows]
     point = lp.feasible_point(a_ub, b_ub, [[Fraction(1)] * m], [Fraction(1)], m)
     if point is None:
         return None
-    return _measure_over_rules(problem, point)
-
-
-def _measure_over_rules(problem: IdentificationProblem, point: Sequence[Fraction]) -> Measure:
-    exact = problem.tol == 0
-    weights = tuple(w if exact else float(w) for w in point)
-    return Measure(problem.rule_ground(), weights)
+    return _measure_over_rules(problem, point, exact)
 
 
 def probability_bounds(
@@ -287,11 +284,10 @@ def probability_bounds(
     Q (the simplex returns a certifying basic solution).
     """
     m = len(problem.rules)
-    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
+    exact, rows = _lp_rows(problem)
     a_ub = [list(coeffs) for coeffs, _ in rows]
     b_ub = [rhs for _, rhs in rows]
     a_eq, b_eq = [[Fraction(1)] * m], [Fraction(1)]
-    exact = problem.tol == 0
     out: dict[str, tuple[Num, Num]] = {}
     for i, rule in enumerate(problem.rules):
         lo_obj = [Fraction(0)] * m
@@ -316,11 +312,11 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
         raise SizeLimitError(
             f"vertex enumeration supports at most {MAX_RULES_FOR_VERTICES} rules"
         )
-    rows = _constraint_rows(problem.ground, problem.data, [r.capacity for r in problem.rules])
+    exact, rows = _lp_rows(problem)
     verts = lp.simplex_polytope_vertices(m, rows)
     if not verts:
         raise InfeasibleSetError("the identified set is empty")
-    return [_measure_over_rules(problem, v) for v in sorted(verts)]
+    return [_measure_over_rules(problem, v, exact) for v in sorted(verts)]
 
 
 def witness_decomposition(
@@ -443,52 +439,3 @@ def problem_from_info_specs(
         for rule_id, spec in specs
     )
     return IdentificationProblem(ground, rules, lam)
-
-
-def necessary_check(
-    ground: GroundSet,
-    lam: Measure,
-    rule_vertex_sets: Sequence[tuple[str, Sequence[Measure]]],
-    q: Measure,
-) -> Verdict:
-    """Dominance test against lower envelopes of arbitrary finite credal sets.
-
-    No core assumption is made, so a failing verdict refutes rationalizability
-    while a passing one does not certify it; the verdict carries
-    ``necessary_only=True`` to make that explicit.
-    """
-    capacities = []
-    ids = []
-    for rule_id, vertices in rule_vertex_sets:
-        capacities.append(lower_probability(list(vertices), ground))
-        ids.append(rule_id)
-    if set(q.ground.labels) != set(ids):
-        raise ValidationError("Q is not a measure over the given rules")
-    weights = [q.weight(rid) for rid in ids]
-    return _dominance_verdict(ground, lam, capacities, weights, necessary_only=True)
-
-
-def necessary_exists(
-    ground: GroundSet,
-    lam: Measure,
-    rule_vertex_sets: Sequence[tuple[str, Sequence[Measure]]],
-) -> Optional[Measure]:
-    """Search for any Q passing the lower-envelope dominance test.
-
-    None refutes rationalizability for every Q; a returned Q is necessary-only
-    evidence, not a certificate.
-    """
-    ids = tuple(rule_id for rule_id, _ in rule_vertex_sets)
-    capacities = [
-        lower_probability(list(vertices), ground) for _, vertices in rule_vertex_sets
-    ]
-    exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
-    rows = _constraint_rows(ground, lam, capacities)
-    m = len(ids)
-    point = lp.feasible_point(
-        [list(c) for c, _ in rows], [r for _, r in rows], [[Fraction(1)] * m], [Fraction(1)], m
-    )
-    if point is None:
-        return None
-    weights = tuple(w if exact else float(w) for w in point)
-    return Measure(GroundSet(ids), weights)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .capacity import Capacity, GroundSet, Measure, is_convex, submasks
+from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
-from .numeric import Num, eq, ge, tol_for
+from .numeric import Num, eq, fold_sum, ge, tol_for
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class IntervalBelief(InfoSpec):
 
     @staticmethod
     def _sum(vec: tuple[Num, ...], mask: int) -> Num:
-        return sum(v for i, v in enumerate(vec) if mask >> i & 1)
+        return fold_sum(v for i, v in enumerate(vec) if mask >> i & 1)
 
     @property
     def excess(self) -> Num:
@@ -187,9 +187,9 @@ def build_capacity(spec: InfoSpec) -> Capacity:
         return Capacity(ground, values, carrier)
     if isinstance(spec, Contamination):
         eps = spec.epsilon
+        focal = mass_table(spec.rho_hat.weights)
         values = tuple(
-            (1 - eps) * spec.rho_hat.mass(mask & carrier)
-            + eps * spec._carrier_indicator(mask)
+            (1 - eps) * focal[mask & carrier] + eps * spec._carrier_indicator(mask)
             for mask in ground.masks()
         )
         return Capacity(ground, values, carrier)
@@ -198,21 +198,20 @@ def build_capacity(spec: InfoSpec) -> Capacity:
         exact = spec.reference.is_exact and not isinstance(eps, float)
         one = Fraction(1) if exact else 1.0
         zero = Fraction(0) if exact else 0.0
+        reference = mass_table(spec.reference.weights)
         values = []
         for mask in ground.masks():
             if mask & carrier == carrier:
                 values.append(one)
             else:
-                shaved = spec.reference.mass(mask & carrier) - eps
+                shaved = reference[mask & carrier] - eps
                 values.append(shaved if shaved > 0 else zero)
         return Capacity(ground, tuple(values), carrier)
     if isinstance(spec, IntervalBelief):
         beta = spec.excess
+        lower, upper = mass_table(spec.lower), mass_table(spec.upper)
         values = tuple(
-            max(
-                IntervalBelief._sum(spec.lower, mask & carrier),
-                IntervalBelief._sum(spec.upper, mask & carrier) - beta,
-            )
+            max(lower[mask & carrier], upper[mask & carrier] - beta)
             for mask in ground.masks()
         )
         return Capacity(ground, values, carrier)

@@ -40,6 +40,16 @@ def tol_for(*collections: Iterable[Num]) -> Num:
     return ZERO
 
 
+def fold_sum(values: Iterable[Num]) -> Num:
+    """values added left to right to int 0, the order sum() used before
+    Python 3.12; sum() now compensates float sums, which would make float
+    reports depend on the interpreter."""
+    total: Num = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def ge(a: Num, b: Num, tol: Num) -> bool:
     """a >= b up to tol."""
     return a >= b - tol

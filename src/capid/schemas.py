@@ -440,7 +440,8 @@ def verdict_json(verdict: Verdict, ground: GroundSet) -> dict[str, Any]:
             for mask, shortfall in verdict.violated
         ],
         "violation_count": verdict.violation_count,
-        "necessary_only": verdict.necessary_only,
+        # kept so reports keep their shape; every verdict is a full check
+        "necessary_only": False,
     }
 
 

@@ -23,9 +23,11 @@ from typing import Optional, Sequence
 
 # core_vertices is no longer called here, but perfbench/tracing.py rebinds
 # capid.updating.core_vertices, so the name stays importable from this module
-from .capacity import Capacity, GroundSet, Measure, core_vertices, is_convex  # noqa: F401
+from .capacity import (  # noqa: F401
+    Capacity, GroundSet, Measure, core_vertices, is_convex, mass_table,
+)
 from .errors import ValidationError
-from .identification import Verdict, _dominance_verdict
+from .identification import Verdict, dominance_verdict
 from .numeric import Num, ge, tol_for
 
 
@@ -180,7 +182,7 @@ def check_average_bias(
     if lam.ground != grid.ground:
         raise ValidationError("data must live on the odds grid")
     nu_k = biased_capacity(kappa_av, model, grid)
-    return _dominance_verdict(grid.ground, lam, [nu_k], [Fraction(1)])
+    return dominance_verdict(lam, [nu_k], [Fraction(1)])
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,8 @@ def rationalizing_kappa_interval(
     empty = False
     under: list[int] = []
     over: list[int] = []
-    for mask in grid.ground.masks():
-        base = model.nu.values[mask]
+    for mask, (base, lam_k) in enumerate(zip(model.nu.values, mass_table(lam.weights))):
         in_prior = 1 if mask & prior_mask else 0
-        lam_k = lam.mass(mask)
         if lam_k < base - tol:
             # data falls below the zero-bias floor on this subset
             (over if in_prior else under).append(mask)

@@ -4,14 +4,18 @@
 Each function follows its textbook definition with no shortcut: convexity
 over every pair of subsets, monotonicity over every subset and label, Moebius
 masses by inclusion-exclusion over every subset of every subset, core
-vertices as the marginal vectors of every ordering, and the experiment
-model's kappa floor and pure-noise test by walking those vertices.
+vertices as the marginal vectors of every ordering, the experiment model's
+kappa floor and pure-noise test by walking those vertices, lower envelopes by
+a minimum over the measures at every subset, and the specification
+capacities by summing their reference vectors anew at every subset.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
-from capid.capacity import Measure, _dedupe_measures, is_convex, submasks
-from capid.errors import NotConvexError
+from capid.capacity import Capacity, Measure, _dedupe_measures, is_convex, submasks
+from capid.errors import NotConvexError, ValidationError
+from capid.info_specs import Contamination, IntervalBelief, VariationNeighborhood, build_capacity
 from capid.numeric import Num, eq, ge
 
 
@@ -102,3 +106,69 @@ def vertex_kappa_facts(grid, nu):
     if any(ge(v.weights[zero], 1, tol) for v in vertices):
         return True, None
     return False, max(-v.weights[zero] / (1 - v.weights[zero]) for v in vertices)
+
+
+def lower_probability(vertices, ground):
+    """Lower envelope nu(K) = min over the given measures of p(K).
+
+    The minimum of a linear functional over a polytope sits at a vertex, so
+    feeding the vertex set of any credal set recovers its lower probability.
+    """
+    if not vertices:
+        raise ValidationError("lower_probability needs at least one measure")
+    for p in vertices:
+        if p.ground != ground:
+            raise ValidationError("all measures must live on the stated ground set")
+    values = tuple(min(p.mass(mask) for p in vertices) for mask in ground.masks())
+    carrier = 0
+    for p in vertices:
+        carrier |= p.support()
+    return Capacity(ground, values, carrier if carrier else None)
+
+
+def literal_build_capacity(spec):
+    """``build_capacity`` with each reference vector summed anew per subset;
+    the other families have no per-subset sum and go to ``build_capacity``."""
+    ground, carrier = spec.ground, spec.carrier
+    if isinstance(spec, Contamination):
+        eps = spec.epsilon
+        values = tuple(
+            (1 - eps) * spec.rho_hat.mass(mask & carrier)
+            + eps * spec._carrier_indicator(mask)
+            for mask in ground.masks()
+        )
+        return Capacity(ground, values, carrier)
+    if isinstance(spec, VariationNeighborhood):
+        eps = spec.epsilon
+        exact = spec.reference.is_exact and not isinstance(eps, float)
+        one = Fraction(1) if exact else 1.0
+        zero = Fraction(0) if exact else 0.0
+        values = []
+        for mask in ground.masks():
+            if mask & carrier == carrier:
+                values.append(one)
+            else:
+                shaved = spec.reference.mass(mask & carrier) - eps
+                values.append(shaved if shaved > 0 else zero)
+        return Capacity(ground, tuple(values), carrier)
+    if isinstance(spec, IntervalBelief):
+        beta = spec.excess
+        values = tuple(
+            max(
+                IntervalBelief._sum(spec.lower, mask & carrier),
+                IntervalBelief._sum(spec.upper, mask & carrier) - beta,
+            )
+            for mask in ground.masks()
+        )
+        return Capacity(ground, values, carrier)
+    return build_capacity(spec)
+
+
+def literal_from_measure(p, carrier=None):
+    """``Capacity.from_measure`` with p(K) summed anew for every subset K."""
+    values = tuple(p.mass(mask) for mask in p.ground.masks())
+    if carrier is None:
+        carrier = p.carrier if p.carrier is not None else p.support()
+        if carrier == 0:
+            carrier = p.ground.full_mask
+    return Capacity(p.ground, values, carrier)

@@ -107,3 +107,65 @@ def random_q(rng: random.Random, ids, denom=10) -> Measure:
         units[rng.randrange(len(units))] = 1
     total = sum(units)
     return Measure(GroundSet.of(ids), tuple(F(u, total) for u in units))
+
+
+def _json_numbers(obj, floats: bool):
+    """Exact numbers as "p/q" strings, or as JSON floats when ``floats``."""
+    if isinstance(obj, dict):
+        return {k: _json_numbers(v, floats) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_numbers(v, floats) for v in obj]
+    if isinstance(obj, F):
+        obj = str(obj)
+    if floats and isinstance(obj, str) and obj[:1].isdigit():
+        return float(F(obj))
+    return obj
+
+
+def random_problem_doc(rng: random.Random, floats: bool, labels=LABELS, lo=2, hi=5, max_rules=4):
+    """A seeded problem document and a Q over its rules, as JSON objects.
+
+    Half the documents give every rule the same menus, each rule choosing by
+    a random preference order, so ``menu-homog`` applies; the others give
+    each rule a carrier.  Lambda is synthesized from Q half the time, so Q
+    rationalizes it, and drawn at random otherwise.  With ``floats`` every
+    number is written as a JSON float.
+    """
+    from capid.schemas import info_spec_json, measure_json
+    from capid.simulate import synth_population
+
+    ground = GroundSet.of(labels[: rng.randint(lo, hi)])
+    ids = [f"r{j}" for j in range(rng.randint(2, max_rules))]
+    menus = None
+    if rng.random() < 0.5:
+        menus = [random_carrier(rng, ground, ground.size) for _ in range(rng.randint(2, 4))]
+    rules, specs = [], []
+    for rid in ids:
+        entry = {"id": rid}
+        if menus is None:
+            carrier = random_carrier(rng, ground, 3)
+            entry["carrier"] = list(ground.labels_of(carrier))
+        else:
+            ranking = rng.sample(ground.labels, ground.size)
+            choices = [next(l for l in ranking if ground.singleton(l) & menu) for menu in menus]
+            carrier = ground.mask_of(choices)
+            entry["menus"] = [list(ground.labels_of(menu)) for menu in menus]
+            entry["choices"] = {str(i): c for i, c in enumerate(choices)}
+        spec = random_spec(rng, ground, rng.choice(FAMILIES), carrier)
+        entry["info_spec"] = {k: v for k, v in info_spec_json(spec).items() if k != "carrier"}
+        rules.append(entry)
+        specs.append(spec)
+    q = random_q(rng, ids)
+    if rng.random() < 0.5:
+        lam = synth_population(ids, specs, q, rng.randrange(1 << 30)).lam
+    else:
+        lam = random_measure(rng, ground, random_carrier(rng, ground, ground.size))
+    doc = {
+        "schema": "capid/1",
+        "labels": list(ground.labels),
+        "lambda": measure_json(lam),
+        "rules": rules,
+        "options": {},
+    }
+    q_doc = {rid: w for rid, w in zip(ids, q.weights)}
+    return _json_numbers(doc, floats), _json_numbers(q_doc, floats)

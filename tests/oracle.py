@@ -11,13 +11,19 @@ statement about the grid.
 ``non_redundant_constraints`` is the structural redundancy sieve over the
 dominance inequalities, which the acceptance and identification tests use to
 name the inequalities that matter on the nested-menu instances.
+
+``_dominance_verdict`` and ``_constraint_rows`` are the two per-mask builders
+of the dominance family that ``capid.identification._dominance_rows``
+replaced; each sums lambda over every subset on its own.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
+from typing import Sequence
 
-from capid.identification import IdentificationProblem
-from capid.numeric import Num
+from capid.capacity import Capacity, GroundSet, Measure
+from capid.identification import MAX_REPORTED_VIOLATIONS, IdentificationProblem, Verdict
+from capid.numeric import FLOAT_TOL, Num, all_exact, as_fraction, fold_sum, tol_for
 
 _ZERO = F(0)
 
@@ -108,3 +114,48 @@ def non_redundant_constraints(
             kept.append((mask, coeffs, problem.data.mass(mask)))
     kept.sort(key=lambda item: item[0])
     return kept
+
+
+def _dominance_verdict(
+    ground: GroundSet,
+    lam: Measure,
+    capacities: Sequence[Capacity],
+    weights: Sequence[Num],
+) -> Verdict:
+    tol = tol_for(lam.weights, weights, *(c.values for c in capacities))
+    violations: list[tuple[int, Num]] = []
+    count = 0
+    for mask in ground.masks():
+        rhs = fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
+        shortfall = rhs - lam.mass(mask)
+        if shortfall > tol:
+            count += 1
+            if len(violations) < MAX_REPORTED_VIOLATIONS:
+                violations.append((mask, shortfall))
+    return Verdict(
+        rationalizes=count == 0,
+        violated=tuple(violations),
+        violation_count=count,
+    )
+
+
+def _constraint_rows(
+    ground: GroundSet, lam: Measure, capacities: Sequence[Capacity]
+) -> list[tuple[tuple[F, ...], F]]:
+    """Dominance inequalities as LP rows ``coeffs . Q <= rhs``, one per subset.
+
+    Zero rows are dropped and duplicate coefficient vectors keep only their
+    smallest right-hand side; both are pure reductions of the same feasible set.
+    In float mode right-hand sides gain the standard feasibility slack.
+    """
+    exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
+    slack = F(0) if exact else F(FLOAT_TOL)
+    best: dict[tuple[F, ...], F] = {}
+    for mask in ground.masks():
+        coeffs = tuple(as_fraction(c.values[mask]) for c in capacities)
+        if not any(coeffs):
+            continue
+        rhs = as_fraction(lam.mass(mask)) + slack
+        if coeffs not in best or rhs < best[coeffs]:
+            best[coeffs] = rhs
+    return sorted(best.items())

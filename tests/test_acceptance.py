@@ -13,7 +13,8 @@ import pytest
 
 import gen
 import oracle
-from capid import GroundSet, Measure, core_contains, core_vertices, is_belief_function, is_convex, lower_probability, mixture, decompose_in_mixture_core, Capacity
+from capacity_oracle import lower_probability
+from capid import GroundSet, Measure, core_contains, core_vertices, is_belief_function, is_convex, mixture, decompose_in_mixture_core, Capacity
 from capid.identification import (
     IdentificationProblem,
     MenuCollection,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_oracle import brute_force_convex
+from capacity_oracle import brute_force_convex, lower_probability
 from capid import (
     Capacity,
     GroundSet,
@@ -27,7 +27,6 @@ from capid import (
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
-    lower_probability,
     mixture,
     mobius,
     pushforward,

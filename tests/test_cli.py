@@ -306,6 +306,16 @@ class TestDeterminismAndErrors:
         assert code == 4
         assert report["error"] == {"type": "TypeError", "message": "broken engine"}
 
+    def test_inconsistent_verdict_exits_4(self, capsys, monkeypatch):
+        # capid builds every verdict, so one that contradicts itself is its fault
+        def contradictory(problem, q):
+            return identification.Verdict(True, ((1, F(1, 4)),), 1)
+
+        monkeypatch.setattr(cli, "check_rationalizes", contradictory)
+        code, report = run(capsys, "check", "--input", NESTED, "--q", QUARTER_Q)
+        assert code == 4
+        assert report["error"]["type"] == "CapidError"
+
     def test_simulate_null_q_exits_2(self, capsys, tmp_path):
         doc = json.loads(Path(SIMULATE).read_text())
         doc["q"] = None

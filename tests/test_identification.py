@@ -15,6 +15,7 @@ import pytest
 import oracle
 
 from capid import (
+    CapidError,
     GroundSet,
     InfeasibleSetError,
     Measure,
@@ -26,6 +27,7 @@ from capid.identification import (
     IdentificationProblem,
     MenuCollection,
     ProblemRule,
+    Verdict,
     check_menu_homogeneous,
     check_rationalizes,
     choice_range,
@@ -33,8 +35,6 @@ from capid.identification import (
     exists_rationalizing,
     identified_vertices,
     induce_choice_distribution,
-    necessary_check,
-    necessary_exists,
     probability_bounds,
     problem_from_info_specs,
     witness_decomposition,
@@ -423,33 +423,17 @@ class TestMonotonicityInInformation:
             previous = bounds
 
 
-class TestNecessaryChecks:
-    def test_coincides_with_core_check_on_convex_input(self):
-        problem, _ = ignorance_problem(NESTED_MENUS, ["1/2", "1/4", "1/4"])
-        from capid import core_vertices
+class TestVerdict:
+    def test_inconsistent_flag_is_an_internal_error(self):
+        with pytest.raises(CapidError) as info:
+            Verdict(rationalizes=True, violated=((1, F(1, 4)),), violation_count=1)
+        assert not isinstance(info.value, ValidationError)
+        with pytest.raises(CapidError):
+            Verdict(rationalizes=False, violated=(), violation_count=0)
 
-        vertex_sets = [
-            (r.rule_id, core_vertices(r.capacity)) for r in problem.rules
-        ]
-        q = q_over(problem, ["1/4", 0, "1/4", "1/4", 0, "1/4"])
-        direct = check_rationalizes(problem, q)
-        necessary = necessary_check(ABC, problem.data, vertex_sets, q)
-        assert necessary.necessary_only
-        assert necessary.rationalizes == direct.rationalizes
-        assert necessary.violated == direct.violated
-
-    def test_contaminated_point_estimates_refute_opposite_data(self):
-        # both rules are 3/4-confident the choice is a; data is all b
-        ab = GroundSet.of("ab")
-        vertices = [
-            Measure(ab, (F(1), F(0))),
-            Measure(ab, (F(3, 4), F(1, 4))),
-        ]
-        lam = Measure.point(ab, "b")
-        sets = [("one", vertices), ("two", vertices)]
-        assert necessary_exists(ab, lam, sets) is None
-        q = Measure(GroundSet.of(["one", "two"]), (F(1, 2), F(1, 2)))
-        assert not necessary_check(ab, lam, sets, q).rationalizes
+    def test_consistent_verdicts_build(self):
+        assert Verdict(True, (), 0).rationalizes
+        assert not Verdict(False, ((1, F(1, 4)),), 1).rationalizes
 
 
 class TestCompleteIgnoranceReduction:

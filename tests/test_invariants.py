@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import gen
+from capacity_oracle import lower_probability
 from capid import (
     Capacity,
     GroundSet,
@@ -13,7 +14,6 @@ from capid import (
     core_vertices,
     decompose_in_mixture_core,
     is_convex,
-    lower_probability,
     mixture,
     mobius,
     pushforward,

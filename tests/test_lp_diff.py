@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from capid.identification import _constraint_rows, problem_from_info_specs
+from capid.identification import _lp_rows, problem_from_info_specs
 from capid.lp import simplex_polytope_vertices, solve_lp
 from capid.simulate import synth_population
 from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
@@ -231,7 +231,7 @@ def test_identified_set_vertices_match_rank_filter_oracle():
         else:
             lam = random_measure(rng, ground)
         problem = problem_from_info_specs(ground, specs, lam)
-        rows = _constraint_rows(ground, lam, [r.capacity for r in problem.rules])
+        _, rows = _lp_rows(problem)
         verts = simplex_polytope_vertices(m, rows)
         assert len(verts) == len(set(verts)), case
         assert set(verts) == set(rank_filter_vertices(m, rows)), case
