@@ -268,11 +268,14 @@ class Capacity:
                 if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
 
-    @property
+    # computed once per capacity: both scan all 2^n values.  A cached
+    # property writes the instance __dict__, which a frozen dataclass allows,
+    # and stays out of equality, hashing and repr.
+    @cached_property
     def tol(self) -> Num:
         return tol_for(self.values)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all_exact(self.values)
 

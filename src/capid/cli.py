@@ -21,6 +21,8 @@ from . import schemas
 from .capacity import core_vertices, is_belief_function, is_convex  # noqa: F401
 from .errors import InfeasibleSetError, NotConvexError, SizeLimitError, ValidationError
 from .identification import (
+    Verdict,
+    _NoWitness,
     check_menu_homogeneous,
     check_rationalizes,
     construct_menu_measures,
@@ -130,15 +132,21 @@ def _cmd_vertices(args, doc, exact):
 def _cmd_witness(args, doc, exact):
     bundle = schemas.parse_problem(doc, exact)
     q = _require_q(args, bundle.problem, exact)
-    verdict = check_rationalizes(bundle.problem, q)
+    # witness_decomposition runs the one dominance check of this query
+    try:
+        witness = witness_decomposition(bundle.problem, q)
+    except _NoWitness as failed:
+        verdict, witness = failed.verdict, None
+    else:
+        # a passing check lists no violations
+        verdict = Verdict(True, (), 0)
     result: dict[str, Any] = {
         "q": schemas.q_json(q),
         "verdict": schemas.verdict_json(verdict, bundle.problem.ground),
         "witness": None,
     }
-    if not verdict.rationalizes:
+    if witness is None:
         return result
-    witness = witness_decomposition(bundle.problem, q)
     result["witness"] = {
         rid: schemas.measure_json(rho) for rid, rho in witness.items()
     }

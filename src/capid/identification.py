@@ -287,17 +287,16 @@ def probability_bounds(
     exact, rows = _lp_rows(problem)
     a_ub = [list(coeffs) for coeffs, _ in rows]
     b_ub = [rhs for _, rhs in rows]
-    a_eq, b_eq = [[Fraction(1)] * m], [Fraction(1)]
+    # per rule, min Q(d) and then min -Q(d), all from one phase 1
+    objectives = [
+        [Fraction(sign if j == i else 0) for j in range(m)] for i in range(m) for sign in (1, -1)
+    ]
+    results = lp.minimize_each(objectives, a_ub, b_ub, [[Fraction(1)] * m], [Fraction(1)])
     out: dict[str, tuple[Num, Num]] = {}
     for i, rule in enumerate(problem.rules):
-        lo_obj = [Fraction(0)] * m
-        lo_obj[i] = Fraction(1)
-        lo = lp.solve_lp(lo_obj, a_ub, b_ub, a_eq, b_eq)
+        lo, hi = results[2 * i], results[2 * i + 1]
         if lo.status != "optimal":
             raise InfeasibleSetError("the identified set is empty")
-        hi_obj = [Fraction(0)] * m
-        hi_obj[i] = Fraction(-1)
-        hi = lp.solve_lp(hi_obj, a_ub, b_ub, a_eq, b_eq)
         if hi.status != "optimal":
             raise CapidError("bound query failed on a nonempty identified set")
         lo_v, hi_v = lo.objective, -hi.objective
@@ -319,6 +318,15 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
     return [_measure_over_rules(problem, v, exact) for v in sorted(verts)]
 
 
+class _NoWitness(ValidationError):
+    """Q fails the dominance check; carries the failing verdict, so that a
+    caller which reports it does not check a second time."""
+
+    def __init__(self, verdict: Verdict) -> None:
+        super().__init__("Q does not rationalize the data; no witness exists")
+        self.verdict = verdict
+
+
 def witness_decomposition(
     problem: IdentificationProblem, q: Measure
 ) -> dict[str, Measure]:
@@ -329,7 +337,7 @@ def witness_decomposition(
     """
     verdict = check_rationalizes(problem, q)
     if not verdict.rationalizes:
-        raise ValidationError("Q does not rationalize the data; no witness exists")
+        raise _NoWitness(verdict)
     weights = _q_weights(problem.rules, q)
     positive = [i for i, w in enumerate(weights) if w > 0]
     caps = [problem.rules[i].capacity for i in positive]

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
-from .numeric import Num, eq, fold_sum, ge, tol_for
+from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,7 @@ def build_capacity(spec: InfoSpec) -> Capacity:
     """The convex capacity whose core equals the specification's credal set."""
     ground, carrier = spec.ground, spec.carrier
     if isinstance(spec, Ignorance):
-        values = tuple(
-            Fraction(spec._carrier_indicator(mask)) for mask in ground.masks()
-        )
+        values = tuple(ONE if spec._carrier_indicator(mask) else ZERO for mask in ground.masks())
         return Capacity(ground, values, carrier)
     if isinstance(spec, Contamination):
         eps = spec.epsilon

@@ -1,14 +1,26 @@
 """Self-contained exact linear programming kernel.
 
-Everything here runs on :class:`fractions.Fraction`, so feasibility answers
-are exact and never depend on a tolerance.  Two entry points:
+Everything here is exact rational arithmetic, so feasibility answers never
+depend on a tolerance.  Three entry points:
 
-``solve_lp``
+``minimize_each``
     two-phase simplex with a Bland fallback (termination guaranteed) for
     ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0`` on a condensed
     tableau (Chvatal, 1983) that stores only the nonbasic columns, so a pivot
-    costs O(R * m), not O(R * (R + m)).  ``tests/lp_oracle.py`` keeps the
-    dense tableau, which makes the same pivots, as the test oracle.
+    costs O(R * m), not O(R * (R + m)).  Each tableau row is a list of Python
+    ints followed by one positive row denominator: entry j is
+    ``row[j] / row[-1]`` and the right-hand side is ``row[-2]``.  Pivots are
+    fraction-free (Edmonds, 1967; Bareiss, 1968), each changed row is divided
+    by the gcd of its entries, and a row whose pivot-column entry is zero is
+    left untouched.  Signs are read off numerators and the ratio test
+    compares ``rhs / coef`` by cross-multiplication, so the pivots are those
+    of a Fraction tableau.  Phase 1 does not depend on the objective: it runs
+    once, and each objective's phase 2 starts from a copy of its tableau.
+    ``tests/lp_oracle.py`` keeps the dense Fraction tableau, which makes the
+    same pivots, as the test oracle.
+
+``solve_lp``
+    the one-objective case of ``minimize_each``.
 
 ``simplex_polytope_vertices``
     exact vertex enumeration for polytopes of the form
@@ -19,15 +31,17 @@ are exact and never depend on a tolerance.  Two entry points:
     tests every crossing point by exact Gaussian elimination, as the oracle.
 
 Float-mode callers convert their data to Fractions (the binary value of a
-double is exact) and relax inequality right-hand sides by their tolerance
-before calling in.
+double is exact; the kernel reads a float the same way) and relax inequality
+right-hand sides by their tolerance before calling in.  Results are
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Optional, Sequence
 
 Row = Sequence[Fraction]
 
@@ -42,29 +56,55 @@ class LpResult:
     objective: Optional[Fraction]
 
 
+def _int_row(values: Row) -> list[int]:
+    """The values as integer numerators followed by their least common
+    denominator."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs] + [den]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
 def _pivot(
-    tableau: list[list[Fraction]], basis: list[int], nonbasic: list[int], row: int, col: int
+    tableau: list[list[int]], basis: list[int], nonbasic: list[int], row: int, col: int
 ) -> None:
-    """Exchange ``basis[row]`` with ``nonbasic[col]`` in place; the leaving
-    variable takes over column ``col``."""
+    """Exchange ``basis[row]`` with ``nonbasic[col]``; the leaving variable
+    takes over column ``col``.
+
+    With the pivot row's signs flipped so that its numerator p at ``col`` is
+    positive, and pden its (now possibly negative) denominator, the pivot row
+    becomes its numerators with pden at ``col``, over p.  Every other row
+    with numerators b, denominator d and f at ``col`` becomes ``b * p - f * a``
+    with ``-f * pden`` at ``col``, over ``d * p``.  Changed rows are new
+    lists, so a shallow copy of the tableau is an independent tableau.
+    """
     prow = tableau[row]
-    inv = _ONE / prow[col]
-    for j, v in enumerate(prow):
-        if v:
-            prow[j] = v * inv
-    prow[col] = inv
-    nonzero = [(j, v) for j, v in enumerate(prow) if v and j != col]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    pden = prow[-1]
+    nonzero = [(j, v) for j, v in enumerate(prow[:-1]) if v and j != col]
     for r, trow in enumerate(tableau):
-        factor = trow[col]
-        if r == row or not factor:
+        f = trow[col]
+        if r == row or not f:
             continue
-        for j, p in nonzero:
-            trow[j] -= factor * p
-        trow[col] = -factor * inv
+        new = [v * p for v in trow]
+        for j, a in nonzero:
+            new[j] -= f * a
+        new[col] = -f * pden
+        tableau[r] = _reduced(new)
+    new = prow[:-1] + [p]
+    new[col] = pden
+    tableau[row] = _reduced(new)
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], nonbasic: list[int]) -> str:
+def _run_simplex(tableau: list[list[int]], basis: list[int], nonbasic: list[int]) -> str:
     """Minimize the objective encoded in the last tableau row.
 
     Dantzig's most-negative entering rule for speed; after a run of
@@ -73,43 +113,168 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], nonbasic: list
     index, wherever the variable sits in the condensed tableau.
     """
     obj = len(tableau) - 1
-    costs = tableau[obj]  # pivots update rows in place
-    ncols = len(costs) - 1
+    ncols = len(tableau[obj]) - 2
     index_of = nonbasic.__getitem__
     stalled = 0
     bland = False
-    last_value = costs[-1]
+    last_value, last_den = tableau[obj][-2:]
     while True:
+        costs = tableau[obj]
         if bland:
             enter = min((j for j in range(ncols) if costs[j] < 0), key=index_of, default=-1)
         else:
-            most = min(costs[:ncols], default=_ZERO)
+            # one positive denominator: the least numerator is the least cost
+            most = min(costs[:ncols], default=0)
             enter = -1
             if most < 0:
                 enter = min((j for j in range(ncols) if costs[j] == most), key=index_of)
         if enter < 0:
             return "optimal"
         leave = -1
-        best: Optional[Fraction] = None
+        best_rhs = best_coef = 0
         for r in range(obj):
-            coef = tableau[r][enter]
+            trow = tableau[r]
+            coef = trow[enter]
             if coef > 0:
-                ratio = tableau[r][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                # rhs / coef against best_rhs / best_coef; the row's
+                # denominator cancels, and both coefficients are positive
+                rhs = trow[-2]
+                lhs, cut = rhs * best_coef, best_rhs * coef
+                if leave < 0 or lhs < cut or (lhs == cut and basis[r] < basis[leave]):
+                    best_rhs, best_coef = rhs, coef
                     leave = r
         if leave < 0:
             return "unbounded"
         _pivot(tableau, basis, nonbasic, leave, enter)
         if not bland:
-            value = costs[-1]
-            if value == last_value:
+            value, den = tableau[obj][-2:]
+            if value * last_den == last_value * den:
                 stalled += 1
                 if stalled >= 32:
                     bland = True
             else:
                 stalled = 0
-                last_value = value
+                last_value, last_den = value, den
+
+
+def _objective(
+    cost: Callable[[int], int],
+    den: int,
+    rows: list[list[int]],
+    basis: list[int],
+    nonbasic: list[int],
+) -> list[int]:
+    """The tableau row of ``min sum_var cost(var) / den * var``: the nonbasic
+    costs, less each row times its basic variable's cost."""
+    objective = [cost(var) for var in nonbasic] + [0, den]
+    for row, var in zip(rows, basis):
+        k = cost(var)
+        if k:
+            d, od = row[-1], objective[-1]
+            objective = _reduced(
+                [v * den * d - k * w * od for v, w in zip(objective[:-1], row[:-1])]
+                + [od * den * d]
+            )
+    return objective
+
+
+def _phase1(
+    n: int, a_ub: Sequence[Row], b_ub: Row, a_eq: Sequence[Row], b_eq: Row
+) -> Optional[tuple[list[list[int]], list[int], list[int]]]:
+    """A feasible basis for the constraints, as (rows, basis, nonbasic) with
+    no artificial left, or None when the constraints are infeasible.
+
+    Variables are numbered structural, then one slack per inequality row,
+    then one artificial per row whose slack cannot start basic.
+    """
+    width = n + len(a_ub)
+    rows = [_int_row([*arow, b]) for arow, b in zip(a_ub, b_ub)]
+    rows += [_int_row([*arow, b]) for arow, b in zip(a_eq, b_eq)]
+    basis = [n + i for i in range(len(a_ub))] + [-1] * len(a_eq)
+    flipped: list[int] = []
+    # normalize to b >= 0 so artificial columns can form a feasible start
+    for r, row in enumerate(rows):
+        if row[-2] < 0:
+            row[:-1] = [-v for v in row[:-1]]
+            if basis[r] >= 0:
+                flipped.append(r)
+                basis[r] = -1
+    # a flipped row's slack starts nonbasic with coefficient -1
+    nonbasic = list(range(n)) + [n + i for i in flipped]
+    for r, row in enumerate(rows):
+        row[n:n] = [-row[-1] if r == i else 0 for i in flipped]
+    arts = [r for r in range(len(rows)) if basis[r] < 0]
+    if not arts:
+        return rows, basis, nonbasic
+    for k, r in enumerate(arts):
+        basis[r] = width + k
+
+    # minimize the sum of the artificials
+    tableau = rows + [_objective(lambda var: int(var >= width), 1, rows, basis, nonbasic)]
+    status = _run_simplex(tableau, basis, nonbasic)
+    if status != "optimal" or tableau[-1][-2] != 0:
+        return None
+    rows = tableau[:-1]
+    # drive surviving artificials out of the basis or drop redundant rows
+    drop: list[int] = []
+    for r in range(len(rows)):
+        if basis[r] >= width:
+            row = rows[r]
+            piv_col = min(
+                (j for j, v in enumerate(row[:-2]) if v and nonbasic[j] < width),
+                key=nonbasic.__getitem__,
+                default=-1,
+            )
+            if piv_col < 0:
+                drop.append(r)
+            else:
+                _pivot(rows, basis, nonbasic, r, piv_col)
+    for r in reversed(drop):
+        rows.pop(r)
+        basis.pop(r)
+    keep = [j for j, var in enumerate(nonbasic) if var < width]
+    if len(keep) < len(nonbasic):
+        rows = [_reduced([row[j] for j in keep] + row[-2:]) for row in rows]
+        nonbasic = [nonbasic[j] for j in keep]
+    return rows, basis, nonbasic
+
+
+def _phase2(c: Row, rows: list[list[int]], basis: list[int], nonbasic: list[int]) -> LpResult:
+    """Minimize ``c.x`` from the feasible basis, which is left unchanged."""
+    n = len(c)
+    *cost, den = _int_row(c)
+    objective = _objective(lambda var: cost[var] if var < n else 0, den, rows, basis, nonbasic)
+    tableau = rows + [objective]
+    basis = basis[:]
+    status = _run_simplex(tableau, basis, nonbasic[:])
+    if status == "unbounded":
+        return LpResult("unbounded", None, None)
+    x = [_ZERO] * n
+    for row, var in zip(tableau, basis):
+        if var < n:
+            x[var] = Fraction(row[-2], row[-1])
+    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+    return LpResult("optimal", tuple(x), value)
+
+
+def minimize_each(
+    objectives: Sequence[Row],
+    a_ub: Sequence[Row],
+    b_ub: Row,
+    a_eq: Sequence[Row],
+    b_eq: Row,
+) -> list[LpResult]:
+    """``solve_lp`` for each objective, all of one length, over one region.
+
+    Phase 1 runs once; every objective's phase 2 starts from its own copy of
+    the phase-1 tableau, so each result is the one ``solve_lp`` returns alone.
+    """
+    if not objectives:
+        return []
+    start = _phase1(len(objectives[0]), a_ub, b_ub, a_eq, b_eq)
+    if start is None:
+        return [LpResult("infeasible", None, None) for _ in objectives]
+    return [_phase2(c, *start) for c in objectives]
 
 
 def solve_lp(
@@ -119,77 +284,8 @@ def solve_lp(
     a_eq: Sequence[Row],
     b_eq: Row,
 ) -> LpResult:
-    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``.
-
-    Variables are numbered structural, then one slack per inequality row,
-    then one artificial per row whose slack cannot start basic.
-    """
-    n = len(c)
-    width = n + len(a_ub)
-    rows = [[Fraction(v) for v in arow] + [Fraction(b)] for arow, b in zip(a_ub, b_ub)]
-    rows += [[Fraction(v) for v in arow] + [Fraction(b)] for arow, b in zip(a_eq, b_eq)]
-    basis = [n + i for i in range(len(a_ub))] + [-1] * len(a_eq)
-    flipped: list[int] = []
-    # normalize to b >= 0 so artificial columns can form a feasible start
-    for r, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[r] = [-v for v in row]
-            if basis[r] >= 0:
-                flipped.append(r)
-                basis[r] = -1
-    # a flipped row's slack starts nonbasic with coefficient -1
-    nonbasic = list(range(n)) + [n + i for i in flipped]
-    for r, row in enumerate(rows):
-        row[n:n] = [-_ONE if r == i else _ZERO for i in flipped]
-    arts = [r for r in range(len(rows)) if basis[r] < 0]
-    for k, r in enumerate(arts):
-        basis[r] = width + k
-
-    if arts:
-        phase1 = [-sum(col) for col in zip(*(rows[r] for r in arts))]
-        tableau = rows + [phase1]
-        status = _run_simplex(tableau, basis, nonbasic)
-        if status != "optimal" or tableau[-1][-1] != 0:
-            return LpResult("infeasible", None, None)
-        tableau.pop()
-        # drive surviving artificials out of the basis or drop redundant rows
-        drop: list[int] = []
-        for r in range(len(rows)):
-            if basis[r] >= width:
-                row = rows[r]
-                piv_col = min(
-                    (j for j, v in enumerate(row[:-1]) if v and nonbasic[j] < width),
-                    key=nonbasic.__getitem__,
-                    default=-1,
-                )
-                if piv_col < 0:
-                    drop.append(r)
-                else:
-                    _pivot(rows, basis, nonbasic, r, piv_col)
-        for r in reversed(drop):
-            rows.pop(r)
-            basis.pop(r)
-        keep = [j for j, var in enumerate(nonbasic) if var < width]
-        if len(keep) < len(nonbasic):
-            rows = [[row[j] for j in keep] + [row[-1]] for row in rows]
-            nonbasic = [nonbasic[j] for j in keep]
-
-    cost = [Fraction(v) for v in c]
-    objective = [cost[var] if var < n else _ZERO for var in nonbasic] + [_ZERO]
-    for r, row in enumerate(rows):
-        coef = cost[basis[r]] if basis[r] < n else _ZERO
-        if coef:
-            objective = [v - coef * w for v, w in zip(objective, row)]
-    tableau = rows + [objective]
-    status = _run_simplex(tableau, basis, nonbasic)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None)
-    x = [_ZERO] * n
-    for r, row in enumerate(rows):
-        if basis[r] < n:
-            x[basis[r]] = row[-1]
-    value = sum(ci * xi for ci, xi in zip(cost, x))
-    return LpResult("optimal", tuple(x), value)
+    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``."""
+    return minimize_each([c], a_ub, b_ub, a_eq, b_eq)[0]
 
 
 def feasible_point(

@@ -89,6 +89,30 @@ class TestWitness:
         assert code == 0
         assert report["result"]["witness"] is None
 
+    @pytest.mark.parametrize(
+        "path,q",
+        [
+            (TWO_ORDERS, json.dumps({"pref:a>b>c": "2/3", "pref:a>c>b": "1/3"})),
+            (NESTED_NO_SINGLETON, QUARTER_Q),
+        ],
+        ids=["rationalizes", "fails"],
+    )
+    def test_one_dominance_check_per_query(self, capsys, monkeypatch, path, q):
+        calls = []
+        check = identification.check_rationalizes
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(identification, "check_rationalizes", counted)
+        monkeypatch.setattr(cli, "check_rationalizes", counted)
+        code, report = run(capsys, "witness", "--input", path, "--q", q)
+        assert code == 0
+        assert len(calls) == 1
+        verdict = report["result"]["verdict"]
+        assert verdict["rationalizes"] is (report["result"]["witness"] is not None)
+
 
 class TestFloatWitness:
     def float_doc(self, tmp_path, lam):

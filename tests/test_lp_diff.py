@@ -1,19 +1,21 @@
 """Differential tests: the exact LP kernel against the oracles it replaced.
 
-The condensed simplex and the dense oracle follow the same pivot rules, so on
-every LP they must return the same ``LpResult``: status, exact point and
-objective.  Where scipy is installed, optimal objectives are also compared
-with HiGHS.  Double-description vertex enumeration must return the vertex
+The condensed integer-row simplex and the dense Fraction oracle follow the
+same pivot rules, so on every LP they must return the same ``LpResult``:
+status, exact point and objective, also for each objective of a
+``minimize_each`` call, which shares one phase 1 among them.  Where scipy is
+installed, optimal objectives are also compared with HiGHS.  Double-description vertex enumeration must return the vertex
 set of the rank-filter oracle, each vertex once.
 """
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from capid.identification import _lp_rows, problem_from_info_specs
-from capid.lp import simplex_polytope_vertices, solve_lp
+from capid.lp import minimize_each, simplex_polytope_vertices, solve_lp
 from capid.simulate import synth_population
 from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
 from lp_oracle import rank_filter_vertices
@@ -88,7 +90,60 @@ def decomposition_lp(rng: random.Random):
     return [F(0)] * nvars, a_ub, b_ub, a_eq, b_eq
 
 
-GENERATORS = (random_lp, dominance_lp, decomposition_lp)
+def binary_float_lp(rng: random.Random):
+    """LPs whose every number is the exact binary value of a double, as
+    float-mode callers pass them, so a row's common denominator reaches 2^50
+    and more.
+
+    Half take random_lp's shapes with independent random doubles.  The other
+    half are transportation problems, which are highly degenerate, with each
+    row multiplied by its own random double; the integers it multiplies are
+    0 or powers of two, so every product is again a double.  Their ratio
+    tests tie exactly on 100-bit cross products, and often several vertices
+    are optimal, so a wrong tie-break changes the result.
+    """
+    if rng.random() < 0.5:
+        n = rng.randint(1, 5)
+        zeros = rng.choice((0.0, 0.3, 0.6))
+
+        def value(lo: float, hi: float, zeros: float) -> F:
+            return F(0) if rng.random() < zeros else F(rng.uniform(lo, hi))
+
+        c = [value(-3, 3, zeros) for _ in range(n)]
+        a_ub = [[value(-3, 3, zeros) for _ in range(n)] for _ in range(rng.randint(0, 7))]
+        b_ub = [value(-3, 4, 0.2) for _ in a_ub]
+        a_eq = [[value(-2, 3, zeros) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        b_eq = [value(-2, 3, 0.2) for _ in a_eq]
+        return c, a_ub, b_ub, a_eq, b_eq
+    k = rng.randint(2, 3)
+    n = k * k
+    supply = [rng.choice((1.0, 2.0, 4.0)) for _ in range(k)]
+    demand = rng.sample(supply, k)
+    a_eq, b_eq = [], []
+    for i in range(k):
+        s = rng.uniform(0.5, 2.0)
+        a_eq.append([F(s) if v // k == i else F(0) for v in range(n)])
+        b_eq.append(F(s * supply[i]))
+    for j in range(k):
+        s = rng.uniform(0.5, 2.0)
+        a_eq.append([F(s) if v % k == j else F(0) for v in range(n)])
+        b_eq.append(F(s * demand[j]))
+    a_ub, b_ub = [], []
+    for _ in range(rng.randint(0, 3)):
+        s = rng.uniform(0.5, 2.0)
+        a_ub.append([F(s * rng.randint(0, 1)) for _ in range(n)])
+        b_ub.append(F(s * rng.choice((0.0, 1.0, 2.0, 4.0))))
+    mode = rng.randrange(3)
+    if mode == 0:
+        c = [F(0)] * n
+    elif mode == 1:
+        c = [F(rng.randint(0, 1)) for _ in range(n)]
+    else:
+        c = [F(rng.randint(-1, 1) * rng.uniform(0.5, 2.0)) for _ in range(n)]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+GENERATORS = (random_lp, dominance_lp, decomposition_lp, binary_float_lp)
 CASES = [(gen, seed) for gen in GENERATORS for seed in range(120)]
 
 
@@ -103,6 +158,52 @@ def test_generators_cover_every_outcome():
     for gen, seed in CASES:
         statuses.add(solve_lp(*gen(random.Random(seed))).status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_binary_float_rows_have_wide_denominators():
+    widest = 0
+    for seed in range(120):
+        _, a_ub, b_ub, a_eq, b_eq = binary_float_lp(random.Random(seed))
+        for row, rhs in zip(a_ub + a_eq, b_ub + b_eq):
+            widest = max(widest, lcm(*(v.denominator for v in row), rhs.denominator))
+    assert widest >= 1 << 50
+
+
+def _objectives(rng: random.Random, c):
+    """c and 1-5 more objectives of its length: signed unit vectors, as
+    ``probability_bounds`` asks, or small values with ties."""
+    out = [c]
+    for _ in range(rng.randint(1, 5)):
+        if c and rng.random() < 0.5:
+            unit = [F(0)] * len(c)
+            unit[rng.randrange(len(c))] = F(rng.choice((-1, 1)))
+            out.append(unit)
+        else:
+            out.append([_value(rng, -3, 3, 0.4) for _ in c])
+    return out
+
+
+@pytest.mark.parametrize("gen,seed", CASES, ids=[f"{g.__name__}-{s}" for g, s in CASES])
+def test_minimize_each_matches_dense_oracle_per_objective(gen, seed):
+    """One shared phase 1 gives every objective the result of its own solve:
+    a phase 2 that started where the previous objective's pivots ended would
+    often stop at another optimal vertex."""
+    rng = random.Random(seed)
+    c, a_ub, b_ub, a_eq, b_eq = gen(rng)
+    objectives = _objectives(rng, c)
+    expected = [dense_solve_lp(obj, a_ub, b_ub, a_eq, b_eq) for obj in objectives]
+    assert minimize_each(objectives, a_ub, b_ub, a_eq, b_eq) == expected
+
+
+def test_minimize_each_cases_cover_every_outcome():
+    statuses = set()
+    for gen, seed in CASES:
+        rng = random.Random(seed)
+        c, a_ub, b_ub, a_eq, b_eq = gen(rng)
+        results = minimize_each(_objectives(rng, c), a_ub, b_ub, a_eq, b_eq)
+        statuses.update(res.status for res in results)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert minimize_each([], [[F(1)]], [F(1)], [], []) == []
 
 
 @pytest.mark.parametrize(
