@@ -4,7 +4,9 @@ A capacity is a monotone set function with value 0 on the empty set and 1 on
 the full set; probability measures are the additive special case.  Subsets
 are bitmasks over an ordered ground set, values live in a dense array of
 length 2^n, and all arithmetic is exact on Fractions unless the caller opts
-into floats (comparisons then carry a 1e-9 absolute tolerance).
+into floats (comparisons then carry a 1e-9 absolute tolerance).  An exact
+capacity also keeps its values as int numerators over one denominator, on
+which the monotonicity and convexity scans and the dominance rows run.
 
 The module provides the full toolkit needed downstream: convexity
 (supermodularity) testing, the Moebius inversion and the belief-function
@@ -24,7 +26,9 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
-from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, fold_sum, ge, tol_for
+from .numeric import (
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, ge, int_numerators, tol_for,
+)
 
 Label = Hashable
 
@@ -157,8 +161,9 @@ class Measure:
         for w in self.weights:
             if not ge(w, 0, tol):
                 raise ValidationError(f"negative weight {w!r}")
-        if not eq(sum(self.weights), 1, tol):
-            raise ValidationError(f"weights sum to {sum(self.weights)}, expected 1")
+        total = fold_sum(self.weights)
+        if not eq(total, 1, tol):
+            raise ValidationError(f"weights sum to {total}, expected 1")
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")
@@ -168,13 +173,13 @@ class Measure:
                 if not self.carrier >> i & 1 and not eq(w, 0, tol):
                     raise ValidationError("measure puts mass outside its carrier")
 
-    @property
-    def tol(self) -> Num:
-        return tol_for(self.weights)
-
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all_exact(self.weights)
+
+    @cached_property
+    def tol(self) -> Num:
+        return ZERO if self.is_exact else FLOAT_TOL
 
     def mass(self, mask: int) -> Num:
         return fold_sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
@@ -252,9 +257,10 @@ class Capacity:
         # together make the capacity monotone on every subset
         active = self.active
         bits = [1 << i for i in range(n) if active >> i & 1]
+        scan, slack = (self.int_view[0], 0) if self.is_exact else (values, tol)
         for mask in carrier_masks(active):
             for bit in bits:
-                if not mask & bit and not ge(values[mask | bit], values[mask], tol):
+                if not mask & bit and not ge(scan[mask | bit], scan[mask], slack):
                     raise ValidationError(
                         f"capacity not monotone at {self.ground.subset_key(mask)} "
                         f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
@@ -268,16 +274,29 @@ class Capacity:
                 if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
 
-    # computed once per capacity: both scan all 2^n values.  A cached
-    # property writes the instance __dict__, which a frozen dataclass allows,
-    # and stays out of equality, hashing and repr.
-    @cached_property
-    def tol(self) -> Num:
-        return tol_for(self.values)
-
+    # computed once per capacity: is_exact and int_view scan all 2^n values.
+    # A cached property writes the instance __dict__, which a frozen
+    # dataclass allows, and stays out of equality, hashing and repr.
     @cached_property
     def is_exact(self) -> bool:
         return all_exact(self.values)
+
+    @cached_property
+    def int_view(self) -> tuple[tuple[int, ...], int]:
+        """Exact mode only: the values as int numerators over the lcm of their
+        denominators, so comparing numerators compares values.  Only the
+        carrier's subsets are converted; every other value is a copy."""
+        active = self.active
+        masks = carrier_masks(active)
+        nums, scale = int_numerators([self.values[mask] for mask in masks])
+        if len(masks) < len(self.values):
+            spread = dict(zip(masks, nums))
+            nums = tuple(spread[mask & active] for mask in range(len(self.values)))
+        return nums, scale
+
+    @cached_property
+    def tol(self) -> Num:
+        return ZERO if self.is_exact else FLOAT_TOL
 
     @property
     def active(self) -> int:
@@ -306,8 +325,7 @@ def is_convex(nu: Capacity) -> bool:
     (Grabisch 2016, ch. 2).  Values are constant in the directions off the
     carrier, so the test stays on the carrier's subsets: O(|C|^2 2^|C|).
     """
-    tol = nu.tol
-    values = nu.values
+    values, tol = (nu.int_view[0], 0) if nu.is_exact else (nu.values, nu.tol)
     active = nu.active
     bits = [1 << i for i in range(nu.ground.size) if active >> i & 1]
     for a, bit_i in enumerate(bits):
@@ -451,10 +469,10 @@ def mixture(capacities: Sequence[Capacity], weights: Sequence[Num]) -> Capacity:
         if c.ground != ground:
             raise ValidationError("mixture components live on different ground sets")
     tol = tol_for(weights)
-    if any(not ge(w, 0, tol) for w in weights) or not eq(sum(weights), 1, tol):
+    if any(not ge(w, 0, tol) for w in weights) or not eq(fold_sum(weights), 1, tol):
         raise ValidationError("mixture weights must be a probability vector")
     values = tuple(
-        sum(w * c.values[mask] for w, c in zip(weights, capacities))
+        fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
         for mask in ground.masks()
     )
     carrier = 0
@@ -482,7 +500,7 @@ def decompose_in_mixture_core(
             raise ValidationError("components live on a different ground set")
     n = ground.size
     tol = tol_for(weights)
-    if any(not ge(w, 0, tol) for w in weights) or not eq(sum(weights), 1, tol):
+    if any(not ge(w, 0, tol) for w in weights) or not eq(fold_sum(weights), 1, tol):
         raise ValidationError("mixture weights must be a probability vector")
     exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)

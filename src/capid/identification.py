@@ -17,13 +17,20 @@ is linear programming or exact vertex enumeration:
   shared by all rules.
 
 The verdicts and the LP rows all come from one source, ``_dominance_rows``.
+In exact mode its rows are ints: the capacities' values over one common
+denominator and lambda's subset sums over lambda's denominator, so the
+verdict scan compares int dot products and the LP rows are deduplicated and
+sorted as int tuples; only the rows kept for the LP, and the shortfalls a
+verdict lists, become Fractions.  Float mode scans the floats themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import lp
@@ -38,7 +45,7 @@ from .capacity import (
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
-from .numeric import FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum
+from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, fold_sum, int_numerators
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
 MAX_RULES_FOR_VERTICES = 8
@@ -196,17 +203,28 @@ def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
 
 
 def _dominance_rows(
-    lam: Measure, capacities: Sequence[Capacity]
-) -> tuple[bool, Iterator[tuple[int, tuple[Num, ...], Num]]]:
+    lam: Measure, capacities: Sequence[Capacity], weights: Sequence[Num] = ()
+) -> tuple[Optional[tuple[int, int]], Iterator[tuple[int, tuple[Num, ...], Num]]]:
     """The dominance family lam(K) >= sum_d Q(d) nu_d(K), one row per subset K.
 
-    Returns whether every number is exact, decided once, and a single-pass
-    iterator over the rows (K, the capacities' values at K, lam(K)) in mask
-    order, with lam's subset sums read off one table.
+    Returns the row scales and a single-pass iterator over the rows (K, the
+    capacities' values at K, lam(K)) in mask order, with lam's subset sums
+    read off one table.  The arithmetic mode is decided once, on lam, the
+    capacities and any mixing ``weights``.  In exact mode the scales are
+    (L, D): the values come as ints over L, the lcm of the capacities'
+    denominators, and lam(K) as an int over D, lam's denominator.  In float
+    mode the scales are None and the rows hold the values themselves.
     """
-    exact = lam.is_exact and all(c.is_exact for c in capacities)
-    columns = zip(*(c.values for c in capacities))
-    return exact, zip(count(), columns, mass_table(lam.weights))
+    if not (lam.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)):
+        columns = zip(*(c.values for c in capacities))
+        return None, zip(count(), columns, mass_table(lam.weights))
+    views = [c.int_view for c in capacities]
+    scale = math.lcm(*(den for _, den in views))
+    columns = zip(*(
+        nums if den == scale else tuple(v * (scale // den) for v in nums) for nums, den in views
+    ))
+    lam_nums, lam_scale = int_numerators(lam.weights)
+    return (scale, lam_scale), zip(count(), columns, mass_table(lam_nums))
 
 
 def dominance_verdict(
@@ -214,16 +232,30 @@ def dominance_verdict(
 ) -> Verdict:
     """Scan every dominance row at the mixing weights; at most
     MAX_REPORTED_VIOLATIONS shortfalls are listed, all are counted."""
-    exact, rows = _dominance_rows(lam, capacities)
-    tol = ZERO if exact and all_exact(weights) else FLOAT_TOL
+    scales, rows = _dominance_rows(lam, capacities, weights)
+    if scales is None:
+        failing = (
+            mask for mask, column, lam_k in rows
+            if fold_sum(w * v for w, v in zip(weights, column)) - lam_k > FLOAT_TOL
+        )
+    else:
+        # sum_d (w_d/W)(N_d/L) > Lam/D, with W, L and D positive
+        w_nums, w_scale = int_numerators(weights)
+        scale, lam_scale = scales
+        bound = w_scale * scale
+        failing = (
+            mask for mask, column, lam_k in rows
+            if sum(map(mul, w_nums, column)) * lam_scale > lam_k * bound
+        )
     violations: list[tuple[int, Num]] = []
     violation_count = 0
-    for mask, column, lam_k in rows:
-        shortfall = fold_sum(w * v for w, v in zip(weights, column)) - lam_k
-        if shortfall > tol:
-            violation_count += 1
-            if len(violations) < MAX_REPORTED_VIOLATIONS:
-                violations.append((mask, shortfall))
+    for mask in failing:
+        violation_count += 1
+        if len(violations) < MAX_REPORTED_VIOLATIONS:
+            # the listed shortfalls are worked out on the values themselves,
+            # as the float scan does, so they keep their types
+            total = fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
+            violations.append((mask, total - lam.mass(mask)))
     return Verdict(violation_count == 0, tuple(violations), violation_count)
 
 
@@ -243,17 +275,23 @@ def _lp_rows(
     In float mode right-hand sides gain the standard feasibility slack.  Rows
     come out sorted.
     """
-    exact, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
-    slack = ZERO if exact else Fraction(FLOAT_TOL)
-    best: dict[tuple[Fraction, ...], Fraction] = {}
+    scales, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
+    best: dict[tuple[Num, ...], Num] = {}
     for _, column, lam_k in rows:
-        if not any(column):
-            continue
-        coeffs = tuple(as_fraction(v) for v in column)
-        rhs = as_fraction(lam_k) + slack
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    return exact, sorted(best.items())
+        if any(column) and (column not in best or lam_k < best[column]):
+            best[column] = lam_k
+    if scales is None:
+        slack = Fraction(FLOAT_TOL)
+        return False, sorted(
+            (tuple(as_fraction(v) for v in coeffs), as_fraction(rhs) + slack)
+            for coeffs, rhs in best.items()
+        )
+    # every row is over the same positive scales, so the ints sort as the values
+    scale, lam_scale = scales
+    return True, [
+        (tuple(Fraction(v, scale) for v in coeffs), Fraction(rhs, lam_scale))
+        for coeffs, rhs in sorted(best.items())
+    ]
 
 
 def _measure_over_rules(

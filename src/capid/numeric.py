@@ -5,13 +5,18 @@ zero tolerance.  Float mode keeps IEEE doubles and compares with an absolute
 tolerance of 1e-9.  A value collection is "exact" when every member is a
 Fraction or an int; mixing a single float switches all comparisons on that
 object to the toleranced versions.
+
+The hot exact scans do not add or compare Fractions one by one, since each
+Fraction operation pays a gcd: ``int_numerators`` puts a collection over one
+common denominator, and the scans compare the int numerators, whose order is
+the values' order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
 
@@ -48,6 +53,12 @@ def fold_sum(values: Iterable[Num]) -> Num:
     for v in values:
         total = total + v
     return total
+
+
+def int_numerators(values: Sequence[Num]) -> tuple[tuple[int, ...], int]:
+    """Exact values as int numerators over the lcm of their denominators."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def ge(a: Num, b: Num, tol: Num) -> bool:

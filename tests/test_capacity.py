@@ -101,6 +101,19 @@ class TestMeasure:
     def test_float_tolerance(self):
         Measure(AB, (0.5 + 1e-13, 0.5), None)  # inside 1e-9
 
+    def test_float_weights_sum_left_to_right(self):
+        # summed left to right these miss 1 by just over 1e-9; the
+        # compensated sum() of Python 3.12 and later lands just inside
+        weights = (0.27885505759256546, 0.15925037800197914, 0.0904281923126858,
+                   0.007699137833041104, 0.1287405253480024, 0.33502670991172606)
+        with pytest.raises(ValidationError, match=r"^weights sum to 1\.000000001, expected 1$"):
+            Measure(GroundSet.of("abcdef"), weights)
+        components = [ignorance(AB, "ab")] * len(weights)
+        with pytest.raises(ValidationError, match="mixture weights"):
+            mixture(components, weights)
+        with pytest.raises(ValidationError, match="mixture weights"):
+            decompose_in_mixture_core(meas(AB, "1/2", "1/2"), components, weights)
+
     def test_mass(self):
         p = meas(ABC, "1/2", "1/4", "1/4")
         assert p.mass(ABC.mask_of("ab")) == F(3, 4)
