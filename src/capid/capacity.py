@@ -82,6 +82,22 @@ def carrier_masks(active: int) -> list[int]:
     return masks
 
 
+def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
+    """The cylindrical extension of a table indexed like
+    ``carrier_masks(carrier)``: entry K of the 2^n result is the very object
+    at K & carrier.  The index list doubles per label, as ``mass_table``
+    does, stepping through ``small`` only on the carrier's labels."""
+    index = [0]
+    step = 1
+    for i in range(n):
+        if carrier >> i & 1:
+            index += [t + step for t in index]
+            step <<= 1
+        else:
+            index += index
+    return tuple(map(small.__getitem__, index))
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered finite set of alternatives; subsets are bitmasks over it."""
@@ -257,18 +273,20 @@ class Capacity:
         # together make the capacity monotone on every subset
         active = self.active
         bits = [1 << i for i in range(n) if active >> i & 1]
+        masks = carrier_masks(active)
         scan, slack = (self.int_view[0], 0) if self.is_exact else (values, tol)
-        for mask in carrier_masks(active):
+        for mask in masks:
             for bit in bits:
                 if not mask & bit and not ge(scan[mask | bit], scan[mask], slack):
                     raise ValidationError(
                         f"capacity not monotone at {self.ground.subset_key(mask)} "
                         f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
                     )
-        # values spread from the carrier's subsets pass at once; the toleranced
-        # comparison runs only when some value differs from its spread
-        if self.carrier is not None and values != tuple(
-            values[mask & active] for mask in range(1 << n)
+        # values spread from the carrier's subsets pass at once, on identity
+        # when they share objects; the toleranced comparison runs only when
+        # some value differs from its spread
+        if self.carrier is not None and values != spread(
+            [values[mask] for mask in masks], active, n
         ):
             for mask in range(1 << n):
                 if not eq(values[mask], values[mask & active], tol):
@@ -290,8 +308,7 @@ class Capacity:
         masks = carrier_masks(active)
         nums, scale = int_numerators([self.values[mask] for mask in masks])
         if len(masks) < len(self.values):
-            spread = dict(zip(masks, nums))
-            nums = tuple(spread[mask & active] for mask in range(len(self.values)))
+            nums = spread(nums, active, self.ground.size)
         return nums, scale
 
     @cached_property

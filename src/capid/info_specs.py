@@ -7,6 +7,10 @@ specification into the convex capacity whose core is exactly that set;
 ``spec_contains`` tests membership directly from the defining formula, never
 through the capacity, so the two can be played against each other in tests.
 
+Such a capacity is the cylindrical extension nu(K) = nu(K & C) of one on the
+carrier C, so ``build_capacity`` computes the 2^|C| values on the carrier's
+subsets and shares each one, as the same object, across the other masks.
+
 Supported families:
 
 * ``Ignorance`` — every distribution on the carrier.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
+from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, spread, submasks
 from .errors import NotConvexError, ValidationError
 from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
 
@@ -46,9 +50,6 @@ class InfoSpec:
     @property
     def tag(self) -> str:
         raise NotImplementedError
-
-    def _carrier_indicator(self, mask: int) -> int:
-        return 1 if mask & self.carrier == self.carrier else 0
 
 
 @dataclass(frozen=True)
@@ -178,50 +179,59 @@ class PointMass(InfoSpec):
 
 
 def build_capacity(spec: InfoSpec) -> Capacity:
-    """The convex capacity whose core equals the specification's credal set."""
+    """The convex capacity whose core equals the specification's credal set.
+
+    The parametric families evaluate their formula once per subset t of the
+    carrier, on subset-sum tables of the vectors restricted to the carrier,
+    and ``spread`` shares each value with every mask K where K & C is t.
+    Entry t of a restricted table adds the same weights in the same order as
+    the full table's entry at t's mask, so the values are those of the
+    per-mask formula, bit for bit.  A point mass keeps ``from_measure``,
+    whose off-carrier masks hold their own sums (the float 0.0 at a mask
+    that misses the carrier, where the carrier table holds the int 0).
+    """
     ground, carrier = spec.ground, spec.carrier
+    top = (1 << carrier.bit_count()) - 1
     if isinstance(spec, Ignorance):
-        values = tuple(ONE if spec._carrier_indicator(mask) else ZERO for mask in ground.masks())
-        return Capacity(ground, values, carrier)
-    if isinstance(spec, Contamination):
+        values = [ZERO] * top + [ONE]
+    elif isinstance(spec, Contamination):
         eps = spec.epsilon
-        focal = mass_table(spec.rho_hat.weights)
-        values = tuple(
-            (1 - eps) * focal[mask & carrier] + eps * spec._carrier_indicator(mask)
-            for mask in ground.masks()
-        )
-        return Capacity(ground, values, carrier)
-    if isinstance(spec, VariationNeighborhood):
+        focal = mass_table(_on_carrier(spec.rho_hat.weights, carrier))
+        values = [
+            (1 - eps) * focal[t] + eps * (1 if t == top else 0) for t in range(top + 1)
+        ]
+    elif isinstance(spec, VariationNeighborhood):
         eps = spec.epsilon
         exact = spec.reference.is_exact and not isinstance(eps, float)
         one = Fraction(1) if exact else 1.0
         zero = Fraction(0) if exact else 0.0
-        reference = mass_table(spec.reference.weights)
+        reference = mass_table(_on_carrier(spec.reference.weights, carrier))
         values = []
-        for mask in ground.masks():
-            if mask & carrier == carrier:
-                values.append(one)
-            else:
-                shaved = reference[mask & carrier] - eps
-                values.append(shaved if shaved > 0 else zero)
-        return Capacity(ground, tuple(values), carrier)
-    if isinstance(spec, IntervalBelief):
+        for t in range(top):
+            shaved = reference[t] - eps
+            values.append(shaved if shaved > 0 else zero)
+        values.append(one)
+    elif isinstance(spec, IntervalBelief):
         beta = spec.excess
-        lower, upper = mass_table(spec.lower), mass_table(spec.upper)
-        values = tuple(
-            max(lower[mask & carrier], upper[mask & carrier] - beta)
-            for mask in ground.masks()
-        )
-        return Capacity(ground, values, carrier)
-    if isinstance(spec, ExplicitCapacity):
+        lower = mass_table(_on_carrier(spec.lower, carrier))
+        upper = mass_table(_on_carrier(spec.upper, carrier))
+        values = [max(low, up - beta) for low, up in zip(lower, upper)]
+    elif isinstance(spec, ExplicitCapacity):
         if not is_convex(spec.nu):
             raise NotConvexError("explicit specification requires a convex capacity")
         if spec.nu.carrier is not None:
             return spec.nu
         return Capacity(ground, spec.nu.values, carrier)
-    if isinstance(spec, PointMass):
+    elif isinstance(spec, PointMass):
         return Capacity.from_measure(spec.rho, carrier)
-    raise ValidationError(f"unknown specification {type(spec).__name__}")
+    else:
+        raise ValidationError(f"unknown specification {type(spec).__name__}")
+    return Capacity(ground, spread(values, carrier, ground.size), carrier)
+
+
+def _on_carrier(vec: tuple[Num, ...], carrier: int) -> list[Num]:
+    """The carrier's coordinates of ``vec``, in index order."""
+    return [v for i, v in enumerate(vec) if carrier >> i & 1]
 
 
 def spec_contains(spec: InfoSpec, rho: Measure) -> bool:

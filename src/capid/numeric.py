@@ -33,8 +33,15 @@ def is_exact_value(x: Num) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+_EXACT_TYPES = frozenset((Fraction, int))
+
+
 def all_exact(values: Iterable[Num]) -> bool:
-    return all(is_exact_value(v) for v in values)
+    """Every value is exact.  Plain Fractions and ints pass on one C-level
+    pass over their types; any other type (a float, a bool, a subclass)
+    sends the values to ``is_exact_value`` one by one."""
+    values = tuple(values)
+    return _EXACT_TYPES.issuperset(map(type, values)) or all(map(is_exact_value, values))
 
 
 def tol_for(*collections: Iterable[Num]) -> Num:

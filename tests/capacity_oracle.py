@@ -7,7 +7,8 @@ masses by inclusion-exclusion over every subset of every subset, core
 vertices as the marginal vectors of every ordering, the experiment model's
 kappa floor and pure-noise test by walking those vertices, lower envelopes by
 a minimum over the measures at every subset, and the specification
-capacities by summing their reference vectors anew at every subset.
+capacities by their formulas at every subset, with the reference vectors
+summed anew each time.
 """
 
 from fractions import Fraction
@@ -15,7 +16,9 @@ from itertools import permutations
 
 from capid.capacity import Capacity, Measure, _dedupe_measures, is_convex, submasks
 from capid.errors import NotConvexError, ValidationError
-from capid.info_specs import Contamination, IntervalBelief, VariationNeighborhood, build_capacity
+from capid.info_specs import (
+    Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
+)
 from capid.numeric import Num, eq, ge
 
 
@@ -127,14 +130,21 @@ def lower_probability(vertices, ground):
 
 
 def literal_build_capacity(spec):
-    """``build_capacity`` with each reference vector summed anew per subset;
-    the other families have no per-subset sum and go to ``build_capacity``."""
+    """``build_capacity`` with each family's formula evaluated anew at every
+    one of the 2^n masks, and each reference vector summed anew per subset;
+    explicit capacities and point masses go to ``build_capacity``."""
     ground, carrier = spec.ground, spec.carrier
+    if isinstance(spec, Ignorance):
+        values = tuple(
+            Fraction(1) if mask & carrier == carrier else Fraction(0)
+            for mask in ground.masks()
+        )
+        return Capacity(ground, values, carrier)
     if isinstance(spec, Contamination):
         eps = spec.epsilon
         values = tuple(
             (1 - eps) * spec.rho_hat.mass(mask & carrier)
-            + eps * spec._carrier_indicator(mask)
+            + eps * (1 if mask & carrier == carrier else 0)
             for mask in ground.masks()
         )
         return Capacity(ground, values, carrier)

@@ -140,6 +140,16 @@ class TestBuildCapacity:
         for mask in ABC.masks():
             assert nu.value(mask) == rho.mass(mask & ABC.mask_of("ab"))
 
+    def test_point_mass_keeps_its_float_zero_off_the_carrier(self):
+        # {c} sums to 0 + 0.0, the float 0.0, where the carrier's table holds
+        # the int 0 at the empty set: spreading that table would report "0"
+        carrier = ABC.mask_of("ab")
+        rho = Measure(ABC, (0.25, 0.75, 0.0), carrier)
+        nu = build_capacity(PointMass(ABC, carrier, rho))
+        assert repr(nu.value(ABC.mask_of("c"))) == "0.0"
+        assert repr(nu.value(0)) == "0"
+        assert type(nu.value(0)) is int
+
 
 class TestSpecContains:
     def test_ignorance_accepts_carrier_support(self):
