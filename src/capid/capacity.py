@@ -6,7 +6,8 @@ are bitmasks over an ordered ground set, values live in a dense array of
 length 2^n, and all arithmetic is exact on Fractions unless the caller opts
 into floats (comparisons then carry a 1e-9 absolute tolerance).  An exact
 capacity also keeps its values as int numerators over one denominator, on
-which the monotonicity and convexity scans and the dominance rows run.
+which the monotonicity and convexity scans, the dominance rows and the core
+rows of an exact decomposition run.
 
 The module provides the full toolkit needed downstream: convexity
 (supermodularity) testing, the Moebius inversion and the belief-function
@@ -534,63 +535,79 @@ def decompose_in_mixture_core(
                 var_of[ci][i] = nvars
                 nvars += 1
 
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
+    # rows in the LP kernel's form: int numerators, and (rhs, denominator)
+    a_ub: list[list[int]] = []
+    b_ub: list[tuple[int, int]] = []
+    a_eq: list[list[int]] = []
+    b_eq: list[tuple[int, int]] = []
     for ci in active:
         cap = capacities[ci]
         carrier = cap.active
-        row = [Fraction(0)] * nvars
-        for i, var in var_of[ci].items():
-            row[var] = Fraction(1)
+        row = [0] * nvars
+        for var in var_of[ci].values():
+            row[var] = 1
         a_eq.append(row)
-        b_eq.append(Fraction(1))
-        for mask in submasks(carrier):
-            if mask == 0 or mask == carrier:
-                continue
-            # p_i(K) >= nu_i(K), written on the complement so the right-hand
-            # side stays nonnegative: p_i(C\K) <= 1 - nu_i(K)
-            row = [Fraction(0)] * nvars
+        b_eq.append((1, 1))
+        masks = [mask for mask in submasks(carrier) if mask and mask != carrier]
+        # p_i(K) >= nu_i(K), written on the complement so the right-hand
+        # side stays nonnegative: p_i(C\K) <= 1 - nu_i(K).  With nu_i(K),
+        # less the float slack, as N_K over L, the row is [L..., L - N_K, L].
+        if exact:
+            nums, scale = cap.int_view
+            floors = [nums[mask] for mask in masks]
+        else:
+            floors, scale = int_numerators(
+                [as_fraction(cap.values[mask]) - slack for mask in masks]
+            )
+        for mask, floor in zip(masks, floors):
+            row = [0] * nvars
             comp = carrier & ~mask
             for i, var in var_of[ci].items():
                 if comp >> i & 1:
-                    row[var] = Fraction(1)
+                    row[var] = scale
             a_ub.append(row)
-            b_ub.append(Fraction(1) - as_fraction(cap.values[mask]) + slack)
-    mix_rows: list[list[Fraction]] = []
-    targets: list[Fraction] = []
+            b_ub.append((scale - floor, scale))
+    # the mix-back sum_i w_i p_i(a) = p(a), over the weights' and p's scales
+    w_nums, w_scale = int_numerators([as_fraction(w) for w in weights])
+    p_nums, p_scale = int_numerators([as_fraction(v) for v in p.weights])
+    den = w_scale * p_scale
+    mix_rows: list[list[int]] = []
+    targets: list[int] = []
     for i in range(n):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         covered = False
         for ci in active:
             var = var_of[ci].get(i)
             if var is not None:
-                row[var] = as_fraction(weights[ci])
+                row[var] = w_nums[ci] * p_scale
                 covered = True
-        target = as_fraction(p.weights[i])
         if not covered:
             if exact:
-                if target != 0:
+                if p_nums[i] != 0:
                     return None
             elif not eq(p.weights[i], 0, FLOAT_TOL):
                 return None
             continue
         mix_rows.append(row)
-        targets.append(target)
+        targets.append(p_nums[i] * w_scale)
 
     if exact:
-        solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_rows, b_eq + targets, nvars)
+        mix_rhs = [(target, den) for target in targets]
+        solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_rows, b_eq + mix_rhs, nvars)
     else:
         # float weights cannot meet the mix-back exactly, so it becomes a band.
         # Half the tolerance on either side leaves room to round the parts to
         # floats; the full tolerance, which the dominance check allows, is the
         # fallback for data that sits at the edge of that check.
         for band in (slack / 2, slack):
+            # target/den +- band, all over den * band's denominator
+            up, band_den = band.numerator * den, band.denominator
             band_rows, band_rhs = [], []
             for row, target in zip(mix_rows, targets):
-                band_rows += [row, [-v for v in row]]
-                band_rhs += [target + band, band - target]
+                scaled = [v * band_den for v in row]
+                band_rows += [scaled, [-v for v in scaled]]
+                shift = target * band_den
+                band_rhs += [(shift + up, den * band_den), (up - shift, den * band_den)]
             solution = lp.feasible_point(a_ub + band_rows, b_ub + band_rhs, a_eq, b_eq, nvars)
             if solution is not None:
                 break

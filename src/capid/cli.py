@@ -78,7 +78,9 @@ def _require_q(args, problem, exact):
         raise ValidationError("this command needs --q with a {rule-id: weight} object")
     try:
         raw = json.loads(args.q)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an int literal over Python's digit limit, or
+        # nesting deeper than the recursion limit
         raise ValidationError(f"--q is not valid JSON: {exc}") from exc
     return schemas.parse_q(raw, problem, exact)
 
@@ -315,7 +317,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     digest = schemas.input_digest(raw)
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an int literal over Python's digit limit, or
+        # nesting deeper than the recursion limit
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 2
     try:

@@ -20,8 +20,11 @@ The verdicts and the LP rows all come from one source, ``_dominance_rows``.
 In exact mode its rows are ints: the capacities' values over one common
 denominator and lambda's subset sums over lambda's denominator, so the
 verdict scan compares int dot products and the LP rows are deduplicated and
-sorted as int tuples; only the rows kept for the LP, and the shortfalls a
-verdict lists, become Fractions.  Float mode scans the floats themselves.
+sorted as int tuples.  The kept rows reach the LP kernel as ints in its row
+form; only the shortfalls a verdict lists, and the rows of vertex
+enumeration, become Fractions.  Float mode scans the floats themselves and
+hands the LP the rows' exact Fractions, which the kernel's converter puts
+over their common denominators.
 """
 
 from __future__ import annotations
@@ -267,13 +270,16 @@ def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
 
 def _lp_rows(
     problem: IdentificationProblem,
-) -> tuple[bool, list[tuple[tuple[Fraction, ...], Fraction]]]:
-    """Exactness and the dominance rows as LP rows ``coeffs . Q <= rhs``.
+) -> tuple[Optional[tuple[int, int]], list[tuple[tuple[Num, ...], Num]]]:
+    """The row scales and the dominance rows as LP rows ``coeffs . Q <= rhs``.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
-    In float mode right-hand sides gain the standard feasibility slack.  Rows
-    come out sorted.
+    Rows come out sorted.  In exact mode the scales are those of
+    ``_dominance_rows``: the coefficients are ints over L and the right-hand
+    sides ints over D.  In float mode the scales are None, the rows are the
+    values' exact Fractions, and right-hand sides gain the standard
+    feasibility slack.
     """
     scales, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
     best: dict[tuple[Num, ...], Num] = {}
@@ -282,16 +288,39 @@ def _lp_rows(
             best[column] = lam_k
     if scales is None:
         slack = Fraction(FLOAT_TOL)
-        return False, sorted(
+        return None, sorted(
             (tuple(as_fraction(v) for v in coeffs), as_fraction(rhs) + slack)
             for coeffs, rhs in best.items()
         )
     # every row is over the same positive scales, so the ints sort as the values
+    return scales, sorted(best.items())
+
+
+def _fraction_rows(
+    scales: Optional[tuple[int, int]], rows: list[tuple[tuple[Num, ...], Num]]
+) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """``_lp_rows``' rows as Fractions."""
+    if scales is None:
+        return rows
     scale, lam_scale = scales
-    return True, [
+    return [
         (tuple(Fraction(v, scale) for v in coeffs), Fraction(rhs, lam_scale))
-        for coeffs, rhs in sorted(best.items())
+        for coeffs, rhs in rows
     ]
+
+
+def _lp_inequalities(
+    problem: IdentificationProblem,
+) -> tuple[bool, list[list[int]], list[tuple[int, int]]]:
+    """Exactness and ``_lp_rows``' rows in the LP kernel's row form."""
+    scales, rows = _lp_rows(problem)
+    if scales is None:
+        return False, *lp.int_rows([coeffs for coeffs, _ in rows], [rhs for _, rhs in rows])
+    # coefficients N/L and right-hand sides R/D, over L * D
+    scale, lam_scale = scales
+    den = scale * lam_scale
+    a_ub = [[v * lam_scale for v in coeffs] for coeffs, _ in rows]
+    return True, a_ub, [(rhs * scale, den) for _, rhs in rows]
 
 
 def _measure_over_rules(
@@ -304,10 +333,8 @@ def _measure_over_rules(
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
     """Some admissible Q, or None when the identified set is empty."""
     m = len(problem.rules)
-    exact, rows = _lp_rows(problem)
-    a_ub = [list(coeffs) for coeffs, _ in rows]
-    b_ub = [rhs for _, rhs in rows]
-    point = lp.feasible_point(a_ub, b_ub, [[Fraction(1)] * m], [Fraction(1)], m)
+    exact, a_ub, b_ub = _lp_inequalities(problem)
+    point = lp.feasible_point(a_ub, b_ub, [[1] * m], [(1, 1)], m)
     if point is None:
         return None
     return _measure_over_rules(problem, point, exact)
@@ -322,14 +349,10 @@ def probability_bounds(
     Q (the simplex returns a certifying basic solution).
     """
     m = len(problem.rules)
-    exact, rows = _lp_rows(problem)
-    a_ub = [list(coeffs) for coeffs, _ in rows]
-    b_ub = [rhs for _, rhs in rows]
+    exact, a_ub, b_ub = _lp_inequalities(problem)
     # per rule, min Q(d) and then min -Q(d), all from one phase 1
-    objectives = [
-        [Fraction(sign if j == i else 0) for j in range(m)] for i in range(m) for sign in (1, -1)
-    ]
-    results = lp.minimize_each(objectives, a_ub, b_ub, [[Fraction(1)] * m], [Fraction(1)])
+    objectives = [[sign if j == i else 0 for j in range(m)] for i in range(m) for sign in (1, -1)]
+    results = lp.minimize_each(objectives, a_ub, b_ub, [[1] * m], [(1, 1)])
     out: dict[str, tuple[Num, Num]] = {}
     for i, rule in enumerate(problem.rules):
         lo, hi = results[2 * i], results[2 * i + 1]
@@ -349,11 +372,11 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
         raise SizeLimitError(
             f"vertex enumeration supports at most {MAX_RULES_FOR_VERTICES} rules"
         )
-    exact, rows = _lp_rows(problem)
-    verts = lp.simplex_polytope_vertices(m, rows)
+    scales, rows = _lp_rows(problem)
+    verts = lp.simplex_polytope_vertices(m, _fraction_rows(scales, rows))
     if not verts:
         raise InfeasibleSetError("the identified set is empty")
-    return [_measure_over_rules(problem, v, exact) for v in sorted(verts)]
+    return [_measure_over_rules(problem, v, scales is not None) for v in sorted(verts)]
 
 
 class _NoWitness(ValidationError):
@@ -467,7 +490,7 @@ def check_menu_homogeneous(
             Fraction(FLOAT_TOL) - v for v in b_eq[:-1]
         ]
         a_eq, b_eq = [a_eq[-1]], [b_eq[-1]]
-    point = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, k)
+    point = lp.feasible_point(*lp.int_rows(a_ub, b_ub), *lp.int_rows(a_eq, b_eq), k)
     if point is None:
         return None
     weights = tuple(w if exact else float(w) for w in point)

@@ -10,12 +10,14 @@ depend on a tolerance.  Three entry points:
     costs O(R * m), not O(R * (R + m)).  Each tableau row is a list of Python
     ints followed by one positive row denominator: entry j is
     ``row[j] / row[-1]`` and the right-hand side is ``row[-2]``.  Pivots are
-    fraction-free (Edmonds, 1967; Bareiss, 1968), each changed row is divided
-    by the gcd of its entries, and a row whose pivot-column entry is zero is
-    left untouched.  Signs are read off numerators and the ratio test
-    compares ``rhs / coef`` by cross-multiplication, so the pivots are those
-    of a Fraction tableau.  Phase 1 does not depend on the objective: it runs
-    once, and each objective's phase 2 starts from a copy of its tableau.
+    fraction-free (Edmonds, 1967; Bareiss, 1968): a row with f in the pivot
+    column, against the pivot p, is scaled by ``p / gcd(f, p)`` and then
+    divided by the gcd of its entries, or only copied when that scale is 1,
+    and a row whose pivot-column entry is zero is left untouched.  Signs are
+    read off numerators and the ratio test compares ``rhs / coef`` by
+    cross-multiplication, so the pivots are those of a Fraction tableau.
+    Phase 1 does not depend on the objective: it runs once, and each
+    objective's phase 2 starts from a copy of its tableau.
     ``tests/lp_oracle.py`` keeps the dense Fraction tableau, which makes the
     same pivots, as the test oracle.
 
@@ -30,10 +32,17 @@ depend on a tolerance.  Three entry points:
     ``tests/lp_oracle.py`` keeps the rank-filter enumerator it replaced, which
     tests every crossing point by exact Gaussian elimination, as the oracle.
 
-Float-mode callers convert their data to Fractions (the binary value of a
-double is exact; the kernel reads a float the same way) and relax inequality
-right-hand sides by their tolerance before calling in.  Results are
-Fractions.
+The simplex takes its constraints in the tableau's own row form, so no
+Fraction sits between a caller's rows and the first pivot: ``a_ub[i]`` holds
+row i's int numerators and ``b_ub[i]`` the pair (right-hand side numerator,
+positive row denominator), and likewise for the equalities.  A row may be
+over any common denominator; the kernel divides it by the gcd of its
+entries.  Callers that hold int numerators build the rows from them; rows of
+Fractions or floats go through ``int_rows``, which puts each row over its
+least common denominator (the binary value of a double is exact).  Float
+callers relax inequality right-hand sides by their tolerance first.  The
+objectives may be ints, Fractions or floats and are converted the same way.
+Points and objective values come back as Fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 Row = Sequence[Fraction]
+#: Constraints in the kernel's row form: each row's int numerators, and its
+#: (right-hand side, positive denominator).
+IntRows = Sequence[Sequence[int]]
+Tails = Sequence[tuple[int, int]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,6 +77,13 @@ def _int_row(values: Row) -> list[int]:
     return [f.numerator * (den // f.denominator) for f in fracs] + [den]
 
 
+def int_rows(a: Sequence[Row], b: Row) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The constraints ``a[i] . x <= b[i]`` (or ``=``), with values of any
+    exact or float type, in the kernel's row form."""
+    rows = [_int_row([*arow, rhs]) for arow, rhs in zip(a, b)]
+    return [row[:-2] for row in rows], [(row[-2], row[-1]) for row in rows]
+
+
 def _reduced(row: list[int]) -> list[int]:
     g = gcd(*row)
     return row if g == 1 else [v // g for v in row]
@@ -78,9 +98,13 @@ def _pivot(
     With the pivot row's signs flipped so that its numerator p at ``col`` is
     positive, and pden its (now possibly negative) denominator, the pivot row
     becomes its numerators with pden at ``col``, over p.  Every other row
-    with numerators b, denominator d and f at ``col`` becomes ``b * p - f * a``
-    with ``-f * pden`` at ``col``, over ``d * p``.  Changed rows are new
-    lists, so a shallow copy of the tableau is an independent tableau.
+    with numerators b, denominator d and f at ``col`` becomes, with
+    g = gcd(f, p), ``b * (p/g) - (f/g) * a`` with ``-(f/g) * pden`` at
+    ``col``, over ``d * (p/g)``: the same values as ``b * p - f * a`` over
+    ``d * p``, on smaller ints.  When p/g is 1 that is a copy of the row
+    updated in place, over its unchanged d; a row scaled by p/g > 1 is then
+    divided by the gcd of its entries.  Changed rows are new lists, so a
+    shallow copy of the tableau is an independent tableau.
     """
     prow = tableau[row]
     p = prow[col]
@@ -93,11 +117,16 @@ def _pivot(
         f = trow[col]
         if r == row or not f:
             continue
-        new = [v * p for v in trow]
+        g = gcd(f, p)
+        f, scale = f // g, p // g
+        # at scale 1 the denominator stays as it was, so the copy is left
+        # unreduced: a common factor can only divide that denominator, and
+        # it goes at the row's next scaled update
+        new = trow[:] if scale == 1 else [v * scale for v in trow]
         for j, a in nonzero:
             new[j] -= f * a
         new[col] = -f * pden
-        tableau[r] = _reduced(new)
+        tableau[r] = new if scale == 1 else _reduced(new)
     new = prow[:-1] + [p]
     new[col] = pden
     tableau[row] = _reduced(new)
@@ -179,7 +208,7 @@ def _objective(
 
 
 def _phase1(
-    n: int, a_ub: Sequence[Row], b_ub: Row, a_eq: Sequence[Row], b_eq: Row
+    n: int, a_ub: IntRows, b_ub: Tails, a_eq: IntRows, b_eq: Tails
 ) -> Optional[tuple[list[list[int]], list[int], list[int]]]:
     """A feasible basis for the constraints, as (rows, basis, nonbasic) with
     no artificial left, or None when the constraints are infeasible.
@@ -188,8 +217,8 @@ def _phase1(
     then one artificial per row whose slack cannot start basic.
     """
     width = n + len(a_ub)
-    rows = [_int_row([*arow, b]) for arow, b in zip(a_ub, b_ub)]
-    rows += [_int_row([*arow, b]) for arow, b in zip(a_eq, b_eq)]
+    rows = [_reduced([*arow, *tail]) for arow, tail in zip(a_ub, b_ub)]
+    rows += [_reduced([*arow, *tail]) for arow, tail in zip(a_eq, b_eq)]
     basis = [n + i for i in range(len(a_ub))] + [-1] * len(a_eq)
     flipped: list[int] = []
     # normalize to b >= 0 so artificial columns can form a feasible start
@@ -259,10 +288,10 @@ def _phase2(c: Row, rows: list[list[int]], basis: list[int], nonbasic: list[int]
 
 def minimize_each(
     objectives: Sequence[Row],
-    a_ub: Sequence[Row],
-    b_ub: Row,
-    a_eq: Sequence[Row],
-    b_eq: Row,
+    a_ub: IntRows,
+    b_ub: Tails,
+    a_eq: IntRows,
+    b_eq: Tails,
 ) -> list[LpResult]:
     """``solve_lp`` for each objective, all of one length, over one region.
 
@@ -279,17 +308,19 @@ def minimize_each(
 
 def solve_lp(
     c: Row,
-    a_ub: Sequence[Row],
-    b_ub: Row,
-    a_eq: Sequence[Row],
-    b_eq: Row,
+    a_ub: IntRows,
+    b_ub: Tails,
+    a_eq: IntRows,
+    b_eq: Tails,
 ) -> LpResult:
-    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``."""
+    """Exact two-phase simplex for ``min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0``,
+    with the constraints in row form: row i of ``A_ub x <= b_ub`` is
+    ``a_ub[i] . x <= rhs`` over den, for ``(rhs, den) = b_ub[i]``."""
     return minimize_each([c], a_ub, b_ub, a_eq, b_eq)[0]
 
 
 def feasible_point(
-    a_ub: Sequence[Row], b_ub: Row, a_eq: Sequence[Row], b_eq: Row, nvars: int
+    a_ub: IntRows, b_ub: Tails, a_eq: IntRows, b_eq: Tails, nvars: int
 ) -> Optional[tuple[Fraction, ...]]:
     """A basic feasible point of the system, or None when infeasible."""
     res = solve_lp([_ZERO] * nvars, a_ub, b_ub, a_eq, b_eq)

@@ -69,12 +69,20 @@ def int_numerators(values: Sequence[Num]) -> tuple[tuple[int, ...], int]:
 
 
 def ge(a: Num, b: Num, tol: Num) -> bool:
-    """a >= b up to tol."""
+    """a >= b up to tol.  At the exact ZERO the values are compared
+    directly, without a Fraction subtraction; subtracting ZERO from a float
+    gives the same float, so the result is the same for every operand."""
+    if tol is ZERO:
+        return a >= b
     return a >= b - tol
 
 
 def eq(a: Num, b: Num, tol: Num) -> bool:
-    """a == b up to tol."""
+    """a == b up to tol.  At the exact ZERO with no float operand the
+    values are compared directly; a float operand keeps the subtraction,
+    which rounds: ``eq(Fraction(1, 3), 1 / 3, ZERO)`` holds."""
+    if tol is ZERO and not isinstance(a, float) and not isinstance(b, float):
+        return a == b
     return abs(a - b) <= tol
 
 

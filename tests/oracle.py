@@ -15,13 +15,16 @@ name the inequalities that matter on the nested-menu instances.
 ``_dominance_verdict`` and ``_constraint_rows`` are the two per-mask builders
 of the dominance family that ``capid.identification._dominance_rows``
 replaced; each sums lambda over every subset on its own.
+``_decomposition_rows`` builds the LP rows of
+``capid.capacity.decompose_in_mixture_core`` as Fractions, one value at a
+time, as they were built before the kernel took int rows.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
 from typing import Sequence
 
-from capid.capacity import Capacity, GroundSet, Measure
+from capid.capacity import Capacity, GroundSet, Measure, submasks
 from capid.identification import MAX_REPORTED_VIOLATIONS, IdentificationProblem, Verdict
 from capid.numeric import FLOAT_TOL, Num, all_exact, as_fraction, fold_sum, tol_for
 
@@ -159,3 +162,60 @@ def _constraint_rows(
         if coeffs not in best or rhs < best[coeffs]:
             best[coeffs] = rhs
     return sorted(best.items())
+
+
+def _decomposition_rows(
+    p: Measure, capacities: Sequence[Capacity], weights: Sequence[Num]
+) -> list[tuple[list[tuple[tuple[F, ...], F]], list[tuple[tuple[F, ...], F]]]]:
+    """The (inequality rows, equality rows) of each LP the decomposition of p
+    into core members of the capacities at the weights solves, in order,
+    each row as (coefficients, right-hand side); [] when a label outside
+    every active carrier has mass.  Float mode tries a band of half the
+    tolerance and then one of the full tolerance around the mix-back rows."""
+    n = p.ground.size
+    exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
+    slack = F(0) if exact else F(FLOAT_TOL)
+    active = [i for i, w in enumerate(weights) if w > 0]
+    var_of: list[dict[int, int]] = [{} for _ in capacities]
+    nvars = 0
+    for ci in active:
+        for i in range(n):
+            if capacities[ci].active >> i & 1:
+                var_of[ci][i] = nvars
+                nvars += 1
+    ub: list[tuple[tuple[F, ...], F]] = []
+    eq: list[tuple[tuple[F, ...], F]] = []
+    for ci in active:
+        cap = capacities[ci]
+        carrier = cap.active
+        eq.append((tuple(F(int(v in var_of[ci].values())) for v in range(nvars)), F(1)))
+        for mask in submasks(carrier):
+            if mask == 0 or mask == carrier:
+                continue
+            comp = carrier & ~mask
+            row = [F(0)] * nvars
+            for i, var in var_of[ci].items():
+                if comp >> i & 1:
+                    row[var] = F(1)
+            ub.append((tuple(row), F(1) - as_fraction(cap.values[mask]) + slack))
+    mix: list[tuple[tuple[F, ...], F]] = []
+    for i in range(n):
+        row = [F(0)] * nvars
+        for ci in active:
+            if i in var_of[ci]:
+                row[var_of[ci][i]] = as_fraction(weights[ci])
+        target = as_fraction(p.weights[i])
+        if not any(i in var_of[ci] for ci in active):
+            if abs(target) > slack:
+                return []
+            continue
+        mix.append((tuple(row), target))
+    if exact:
+        return [(ub, eq + mix)]
+    systems = []
+    for band in (slack / 2, slack):
+        band_rows = []
+        for row, target in mix:
+            band_rows += [(row, target + band), (tuple(-v for v in row), band - target)]
+        systems.append((ub + band_rows, eq))
+    return systems

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -21,6 +22,15 @@ SIMULATE = str(FIXTURES / "simulate_two_rules.json")
 QUARTER_Q = json.dumps(
     {"pref:a>b>c": "1/4", "pref:b>a>c": "1/4", "pref:b>c>a": "1/4", "pref:c>b>a": "1/4"}
 )
+
+#: Documents the JSON decoder itself rejects: a byte that is not UTF-8,
+#: nesting far deeper than any recursion limit, and an int literal longer
+#: than Python's 4,300-digit conversion limit.
+UNDECODABLE = {
+    "invalid_utf8": b'{"x": "\x80"}',
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long_int": b'{"x": ' + b"7" * 5_000 + b"}",
+}
 
 
 def run(capsys, *argv):
@@ -299,6 +309,24 @@ class TestDeterminismAndErrors:
         bad.write_text("{not json")
         code, report = run(capsys, "check", "--input", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+    def test_undecodable_document_exits_2_with_a_report(self, capsys, tmp_path, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNDECODABLE[kind])
+        code, report = run(capsys, "exists", "--input", str(bad))
+        assert code == 2
+        assert report["command"] == "exists" and report["error"]["message"]
+
+    @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+    def test_undecodable_q_exits_2_with_a_report(self, capsys, kind):
+        # argv reaches Python as str: an undecodable byte arrives as the
+        # surrogate os.fsdecode maps it to
+        q = os.fsdecode(UNDECODABLE[kind])
+        code, report = run(capsys, "check", "--input", NESTED, "--q", q)
+        assert code == 2
+        assert report["command"] == "check"
+        assert report["error"]["type"] == "ValidationError"
 
     def test_wrong_schema_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -22,6 +22,7 @@ from capid.identification import (
     MAX_REPORTED_VIOLATIONS,
     IdentificationProblem,
     ProblemRule,
+    _fraction_rows,
     _lp_rows,
     check_rationalizes,
 )
@@ -129,7 +130,9 @@ def test_verdicts_and_rows_match_the_fraction_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["int_shortfall"] += any(type(s) is int for _, s in new.violated)
 
-        assert repr(_lp_rows(problem)) == repr((True, oracle._constraint_rows(ground, lam, caps)))
+        scales, rows = _lp_rows(problem)
+        lp_rows = (scales is not None, _fraction_rows(scales, rows))
+        assert repr(lp_rows) == repr((True, oracle._constraint_rows(ground, lam, caps)))
 
     assert seen["coprime_scales"] >= CASES // 2, seen
     assert seen["int_values"] >= CASES // 4, seen

@@ -2,35 +2,40 @@
 
 from fractions import Fraction as F
 
-from capid.lp import feasible_point, simplex_polytope_vertices, solve_lp
+from capid.lp import feasible_point, int_rows, simplex_polytope_vertices, solve_lp
+
+
+def solve(c, a_ub, b_ub, a_eq, b_eq):
+    """``solve_lp`` on rows of Fractions, through the kernel's row converter."""
+    return solve_lp(c, *int_rows(a_ub, b_ub), *int_rows(a_eq, b_eq))
 
 
 class TestSolveLp:
     def test_simple_minimum(self):
         # min x + y  s.t.  x + 2y >= 1 (as -x - 2y <= -1), x,y >= 0
-        res = solve_lp([F(1), F(1)], [[F(-1), F(-2)]], [F(-1)], [], [])
+        res = solve([F(1), F(1)], [[F(-1), F(-2)]], [F(-1)], [], [])
         assert res.status == "optimal"
         assert res.objective == F(1, 2)
         assert res.x == (F(0), F(1, 2))
 
     def test_equality_constraints(self):
         # min -x  s.t.  x + y = 1  ->  x = 1
-        res = solve_lp([F(-1), F(0)], [], [], [[F(1), F(1)]], [F(1)])
+        res = solve([F(-1), F(0)], [], [], [[F(1), F(1)]], [F(1)])
         assert res.status == "optimal"
         assert res.x == (F(1), F(0))
 
     def test_infeasible(self):
         # x + y = 1 and x + y <= 1/2
-        res = solve_lp([F(0), F(0)], [[F(1), F(1)]], [F(1, 2)], [[F(1), F(1)]], [F(1)])
+        res = solve([F(0), F(0)], [[F(1), F(1)]], [F(1, 2)], [[F(1), F(1)]], [F(1)])
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        res = solve_lp([F(-1)], [], [], [], [])
+        res = solve([F(-1)], [], [], [], [])
         assert res.status == "unbounded"
 
     def test_negative_rhs_rows(self):
         # min y  s.t.  -x <= -1/3  (x >= 1/3),  x + y = 1
-        res = solve_lp([F(0), F(1)], [[F(-1), F(0)]], [F(-1, 3)], [[F(1), F(1)]], [F(1)])
+        res = solve([F(0), F(1)], [[F(-1), F(0)]], [F(-1, 3)], [[F(1), F(1)]], [F(1)])
         assert res.status == "optimal"
         assert res.objective == F(0)
         assert res.x[0] >= F(1, 3)
@@ -39,12 +44,31 @@ class TestSolveLp:
         # classic degeneracy: several identical binding constraints
         rows = [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]]
         rhs = [F(1), F(1), F(2)]
-        res = solve_lp([F(-1), F(-1)], rows, rhs, [], [])
+        res = solve([F(-1), F(-1)], rows, rhs, [], [])
         assert res.status == "optimal"
         assert res.objective == F(-1)
 
     def test_feasible_point_none_when_infeasible(self):
-        assert feasible_point([[F(1)]], [F(-1)], [], [], 1) is None
+        assert feasible_point(*int_rows([[F(1)]], [F(-1)]), [], [], 1) is None
+
+    def test_int_rows_put_each_row_over_its_least_common_denominator(self):
+        # a float counts at its exact binary value
+        assert int_rows([[F(1, 2), F(1, 3)], [2, 0.5]], [F(1), F(-3, 4)]) == (
+            [[3, 2], [8, 2]],
+            [(6, 6), (-3, 4)],
+        )
+        assert int_rows([], []) == ([], [])
+
+    def test_rows_in_any_common_scale_give_the_same_result(self):
+        # x <= 3/4 as [L, 0, L - L/4, L], the form the core rows take; the
+        # kernel reduces each row by its gcd before the first pivot
+        expected = solve([F(-1), F(1)], [[1, 0], [0, 1]], [F(3, 4), 1], [[1, 1]], [1])
+        assert expected.x == (F(3, 4), F(1, 4))
+        for scale in (4, 12, 4 * 9_999_991):
+            a_ub = [[scale, 0], [0, 2 * scale]]
+            b_ub = [(scale - scale // 4, scale), (2 * scale, 2 * scale)]
+            a_eq, b_eq = [[3, 3]], [(3, 3)]
+            assert solve_lp([F(-1), F(1)], a_ub, b_ub, a_eq, b_eq) == expected
 
 
 class TestSimplexPolytopeVertices:

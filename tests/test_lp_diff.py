@@ -1,11 +1,13 @@
 """Differential tests: the exact LP kernel against the oracles it replaced.
 
 The condensed integer-row simplex and the dense Fraction oracle follow the
-same pivot rules, so on every LP they must return the same ``LpResult``:
-status, exact point and objective, also for each objective of a
-``minimize_each`` call, which shares one phase 1 among them.  Where scipy is
-installed, optimal objectives are also compared with HiGHS.  Double-description vertex enumeration must return the vertex
-set of the rank-filter oracle, each vertex once.
+same pivot rules, so on every LP they must make the same pivots and return
+the same ``LpResult``: status, exact point and objective, also for each
+objective of a ``minimize_each`` call, which shares one phase 1 among them.
+The LPs are written with Fractions and reach the kernel through its row
+converter ``int_rows``.  Where scipy is installed, optimal objectives are
+also compared with HiGHS.  Double-description vertex enumeration must return
+the vertex set of the rank-filter oracle, each vertex once.
 """
 
 import random
@@ -14,12 +16,19 @@ from math import lcm
 
 import pytest
 
-from capid.identification import _lp_rows, problem_from_info_specs
-from capid.lp import minimize_each, simplex_polytope_vertices, solve_lp
+import lp_oracle
+from capid import lp
+from capid.identification import _fraction_rows, _lp_rows, problem_from_info_specs
+from capid.lp import int_rows, minimize_each, simplex_polytope_vertices, solve_lp
 from capid.simulate import synth_population
 from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
 from lp_oracle import rank_filter_vertices
 from lp_oracle import solve_lp as dense_solve_lp
+
+
+def kernel(c, a_ub, b_ub, a_eq, b_eq):
+    """The LP with its constraints in the kernel's row form."""
+    return (c, *int_rows(a_ub, b_ub), *int_rows(a_eq, b_eq))
 
 
 def _value(rng: random.Random, lo: int, hi: int, zeros: float) -> F:
@@ -147,17 +156,46 @@ GENERATORS = (random_lp, dominance_lp, decomposition_lp, binary_float_lp)
 CASES = [(gen, seed) for gen in GENERATORS for seed in range(120)]
 
 
+@pytest.fixture
+def pivot_logs(monkeypatch):
+    """Record each solver's pivots as (leaving, entering) variable pairs."""
+    logs = {"kernel": [], "dense": []}
+    kernel_pivot, dense_pivot = lp._pivot, lp_oracle._pivot
+
+    def logged_kernel_pivot(tableau, basis, nonbasic, row, col):
+        logs["kernel"].append((basis[row], nonbasic[col]))
+        kernel_pivot(tableau, basis, nonbasic, row, col)
+
+    def logged_dense_pivot(tableau, basis, row, col):
+        logs["dense"].append((basis[row], col))
+        dense_pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", logged_kernel_pivot)
+    monkeypatch.setattr(lp_oracle, "_pivot", logged_dense_pivot)
+    return logs
+
+
 @pytest.mark.parametrize("gen,seed", CASES, ids=[f"{g.__name__}-{s}" for g, s in CASES])
-def test_matches_dense_oracle(gen, seed):
+def test_matches_dense_oracle(gen, seed, pivot_logs):
+    """Both solvers number variables structural, slack, artificial, so the
+    pivots match too: in phase 1, in the drive-out of artificials and in
+    phase 2."""
     lp_args = gen(random.Random(seed))
-    assert solve_lp(*lp_args) == dense_solve_lp(*lp_args)
+    assert solve_lp(*kernel(*lp_args)) == dense_solve_lp(*lp_args)
+    assert pivot_logs["kernel"] == pivot_logs["dense"]
 
 
-def test_generators_cover_every_outcome():
+def test_generators_cover_every_outcome(pivot_logs):
     statuses = set()
+    pivoting = {gen: 0 for gen in GENERATORS}
     for gen, seed in CASES:
-        statuses.add(solve_lp(*gen(random.Random(seed))).status)
+        pivot_logs["kernel"].clear()
+        statuses.add(solve_lp(*kernel(*gen(random.Random(seed)))).status)
+        pivoting[gen] += len(pivot_logs["kernel"]) >= 3
     assert statuses == {"optimal", "infeasible", "unbounded"}
+    # every generator, the wide binary-float denominators included, gives
+    # LPs whose pivot sequences are long enough to compare
+    assert min(pivoting.values()) >= 15, pivoting
 
 
 def test_binary_float_rows_have_wide_denominators():
@@ -192,7 +230,8 @@ def test_minimize_each_matches_dense_oracle_per_objective(gen, seed):
     c, a_ub, b_ub, a_eq, b_eq = gen(rng)
     objectives = _objectives(rng, c)
     expected = [dense_solve_lp(obj, a_ub, b_ub, a_eq, b_eq) for obj in objectives]
-    assert minimize_each(objectives, a_ub, b_ub, a_eq, b_eq) == expected
+    _, *rows = kernel(c, a_ub, b_ub, a_eq, b_eq)
+    assert minimize_each(objectives, *rows) == expected
 
 
 def test_minimize_each_cases_cover_every_outcome():
@@ -200,10 +239,11 @@ def test_minimize_each_cases_cover_every_outcome():
     for gen, seed in CASES:
         rng = random.Random(seed)
         c, a_ub, b_ub, a_eq, b_eq = gen(rng)
-        results = minimize_each(_objectives(rng, c), a_ub, b_ub, a_eq, b_eq)
+        _, *rows = kernel(c, a_ub, b_ub, a_eq, b_eq)
+        results = minimize_each(_objectives(rng, c), *rows)
         statuses.update(res.status for res in results)
     assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert minimize_each([], [[F(1)]], [F(1)], [], []) == []
+    assert minimize_each([], [[1]], [(1, 1)], [], []) == []
 
 
 @pytest.mark.parametrize(
@@ -236,15 +276,16 @@ def test_minimize_each_cases_cover_every_outcome():
         ([], [], [], [], []),
     ],
 )
-def test_matches_dense_oracle_on_edge_cases(lp_args):
-    assert solve_lp(*lp_args) == dense_solve_lp(*lp_args)
+def test_matches_dense_oracle_on_edge_cases(lp_args, pivot_logs):
+    assert solve_lp(*kernel(*lp_args)) == dense_solve_lp(*lp_args)
+    assert pivot_logs["kernel"] == pivot_logs["dense"]
 
 
 def test_objectives_match_highs():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     for gen, seed in CASES:
         c, a_ub, b_ub, a_eq, b_eq = gen(random.Random(seed))
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        res = solve_lp(*kernel(c, a_ub, b_ub, a_eq, b_eq))
         ref = scipy_optimize.linprog(
             [float(v) for v in c],
             A_ub=[[float(v) for v in row] for row in a_ub] or None,
@@ -332,7 +373,7 @@ def test_identified_set_vertices_match_rank_filter_oracle():
         else:
             lam = random_measure(rng, ground)
         problem = problem_from_info_specs(ground, specs, lam)
-        _, rows = _lp_rows(problem)
+        rows = _fraction_rows(*_lp_rows(problem))
         verts = simplex_polytope_vertices(m, rows)
         assert len(verts) == len(set(verts)), case
         assert set(verts) == set(rank_filter_vertices(m, rows)), case

@@ -1,10 +1,11 @@
-"""``all_exact`` against the per-value definition its type fast path skips."""
+"""``all_exact``, ``ge`` and ``eq`` against the literal definitions their
+fast paths skip."""
 
 import enum
 import itertools
 from fractions import Fraction as F
 
-from capid.numeric import all_exact, is_exact_value
+from capid.numeric import FLOAT_TOL, ZERO, all_exact, eq, ge, is_exact_value
 
 
 class Level(enum.IntEnum):
@@ -43,3 +44,29 @@ def test_one_other_type_last_among_fractions():
         assert len(values) == 512
         assert _literal(values) is want
         assert all_exact(values) is want, last
+
+
+class Double(float):
+    """A float, but not of type float."""
+
+
+OPERANDS = (
+    0, 1, -2, 7, True, F(1, 3), F(-1, 3), F(2, 6), F(7), F(0), Ratio(1, 3), Level.HIGH,
+    1 / 3, -1 / 3, 0.0, -0.0, 7.0, 1e-10, F(1, 3) + F(1, 10**12), Double(1 / 3),
+)
+
+
+def test_ge_and_eq_match_the_subtracting_form():
+    """Every pair of int, Fraction and float operands, at the exact ZERO (the
+    direct comparison), at an equal Fraction that is not ZERO, at int 0 and
+    at the float tolerance: the results are those of ``a >= b - tol`` and
+    ``abs(a - b) <= tol``, also where a float operand rounds."""
+    rounded = 0
+    for tol in (ZERO, F(0), 0, FLOAT_TOL):
+        for a, b in itertools.product(OPERANDS, repeat=2):
+            assert ge(a, b, tol) is (a >= b - tol), (a, b, tol)
+            assert eq(a, b, tol) is (abs(a - b) <= tol), (a, b, tol)
+            rounded += tol is ZERO and eq(a, b, tol) and a != b
+    # F(1, 3) against the double 1/3 and against its subclass, both ways round
+    assert eq(F(1, 3), 1 / 3, ZERO) and eq(Double(1 / 3), F(1, 3), ZERO)
+    assert rounded >= 4

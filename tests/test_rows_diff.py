@@ -15,9 +15,14 @@ from pathlib import Path
 import gen
 import oracle
 from capacity_oracle import literal_build_capacity, literal_from_measure
-from capid import Capacity, Measure, core_contains, schemas
-from capid.capacity import mass_table
-from capid.identification import MAX_REPORTED_VIOLATIONS, _lp_rows, check_rationalizes
+from capid import Capacity, Measure, core_contains, lp, schemas
+from capid.capacity import decompose_in_mixture_core, mass_table
+from capid.identification import (
+    MAX_REPORTED_VIOLATIONS,
+    _fraction_rows,
+    _lp_rows,
+    check_rationalizes,
+)
 from capid.info_specs import build_capacity
 from capid.numeric import ge, tol_for
 from capid.updating import biased_capacity, check_average_bias
@@ -74,8 +79,10 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["pass" if new.rationalizes else "fail"] += 1
 
-        # the LP rows and the arithmetic mode they carry
-        assert repr(_lp_rows(problem)) == repr((exact, oracle._constraint_rows(ground, lam, caps)))
+        # the LP rows, read through their scales, and the arithmetic mode
+        scales, rows = _lp_rows(problem)
+        lp_rows = (scales is not None, _fraction_rows(scales, rows))
+        assert repr(lp_rows) == repr((exact, oracle._constraint_rows(ground, lam, caps)))
 
     assert seen["exact"] >= 100 and seen["float"] >= 100
     assert seen["over_cap"] >= 20, seen
@@ -106,3 +113,37 @@ def test_table_matches_mass_on_random_vectors():
             q = Measure(ground, weights)
             assert _reprs(mass_table(q.weights)) == _reprs(q.mass(m) for m in ground.masks())
     assert mass_table(()) == [0]
+
+
+def test_decomposition_rows_hold_the_per_subset_values(monkeypatch):
+    """``decompose_in_mixture_core`` hands the LP kernel int rows.  Read over
+    their denominators, they must be the Fraction rows built one value at a
+    time, row by row and in order, in both modes and at both float bands:
+    a row over the wrong denominator describes the same region but changes
+    the pivots, and with them the witness a report shows."""
+    systems = []
+    feasible_point = lp.feasible_point
+
+    def recorded(a_ub, b_ub, a_eq, b_eq, nvars):
+        systems.append(tuple(
+            [(tuple(F(v, den) for v in nums), F(rhs, den)) for nums, (rhs, den) in zip(a, b)]
+            for a, b in ((a_ub, b_ub), (a_eq, b_eq))
+        ))
+        return feasible_point(a_ub, b_ub, a_eq, b_eq, nvars)
+
+    monkeypatch.setattr(lp, "feasible_point", recorded)
+    seen = {"exact": 0, "float": 0, "float_second_band": 0, "uncovered": 0}
+    for exact, doc, q_doc in _cases():
+        problem = schemas.parse_problem(doc, exact).problem
+        caps = [r.capacity for r in problem.rules]
+        weights = list(schemas.parse_q(q_doc, problem, exact).weights)
+        systems.clear()
+        decompose_in_mixture_core(problem.data, caps, weights)
+        literal = oracle._decomposition_rows(problem.data, caps, weights)
+        assert systems == literal[: len(systems)]
+        assert bool(systems) == bool(literal)
+        seen["exact" if exact else "float"] += bool(systems)
+        seen["float_second_band"] += len(systems) == 2
+        seen["uncovered"] += not literal
+    assert seen["exact"] >= 90 and seen["float"] >= 75, seen
+    assert seen["float_second_band"] >= 10 and seen["uncovered"] >= 20, seen

@@ -117,7 +117,7 @@ class TestVertexEnumerationAgainstBasisOracle:
 
     def test_identified_sets_agree(self):
         rng = random.Random(555002)
-        from capid.identification import _lp_rows
+        from capid.identification import _fraction_rows, _lp_rows
 
         for _ in range(15):
             ground = gen.random_ground(rng, 2, 4)
@@ -135,8 +135,7 @@ class TestVertexEnumerationAgainstBasisOracle:
             ).lam
             problem = problem_from_info_specs(ground, specs, lam)
             fast = {v.weights for v in identified_vertices(problem)}
-            _, rows = _lp_rows(problem)
-            slow = brute_force_vertices(m, rows)
+            slow = brute_force_vertices(m, _fraction_rows(*_lp_rows(problem)))
             assert fast == slow
 
 
