@@ -9,14 +9,11 @@ from .capacity import (
     capacity_from_mobius,
     core_contains,
     core_vertices,
-    cylindrical_extension,
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
     mixture,
     mobius,
-    pushforward,
-    pushforward_measure,
 )
 from .errors import (
     CapidError,
@@ -35,14 +32,11 @@ __all__ = [
     "capacity_from_mobius",
     "core_contains",
     "core_vertices",
-    "cylindrical_extension",
     "decompose_in_mixture_core",
     "is_belief_function",
     "is_convex",
     "mixture",
     "mobius",
-    "pushforward",
-    "pushforward_measure",
     "CapidError",
     "InfeasibleSetError",
     "NotConvexError",

@@ -12,9 +12,16 @@ rows of an exact decomposition run.
 The module provides the full toolkit needed downstream: convexity
 (supermodularity) testing, the Moebius inversion and the belief-function
 test, core membership, the core vertices of convex capacities as distinct
-marginal vectors built over prefix sets, pointwise mixtures with exact core
-decomposition, cylindrical extension from a carrier, and pushforwards along
-point maps.  ``mass_table`` gives a vector's sums over every subset at once.
+marginal vectors built over prefix sets, and pointwise mixtures with exact
+core decomposition.  ``mass_table`` gives a vector's sums over every subset
+at once.
+
+Capacities and measures read from a document are validated in full when
+they are constructed.  Those that capid derives from validated inputs, whose
+properties follow from a theorem (see ``info_specs``) or from the linear
+program that produced them, come from ``Capacity._derived`` and
+``Measure._derived`` without the checks; a derived capacity records that it
+is convex, and ``is_convex`` scans any other capacity at most once.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, ge, int_numerators, tol_for,
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, format_number, ge,
+    int_numerators, tol_for,
 )
 
 Label = Hashable
@@ -83,11 +91,10 @@ def carrier_masks(active: int) -> list[int]:
     return masks
 
 
-def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
-    """The cylindrical extension of a table indexed like
-    ``carrier_masks(carrier)``: entry K of the 2^n result is the very object
-    at K & carrier.  The index list doubles per label, as ``mass_table``
-    does, stepping through ``small`` only on the carrier's labels."""
+def _spread_index(carrier: int, n: int) -> list[int]:
+    """Entry K is the position of K & carrier in ``carrier_masks(carrier)``.
+    The list doubles per label, as ``mass_table`` does, stepping only on the
+    carrier's labels."""
     index = [0]
     step = 1
     for i in range(n):
@@ -96,7 +103,14 @@ def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
             step <<= 1
         else:
             index += index
-    return tuple(map(small.__getitem__, index))
+    return index
+
+
+def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
+    """The cylindrical extension of a table indexed like
+    ``carrier_masks(carrier)``: entry K of the 2^n result is the very object
+    at K & carrier."""
+    return tuple(map(small.__getitem__, _spread_index(carrier, n)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,11 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class Measure:
-    """Probability measure on a ground set, optionally confined to a carrier."""
+    """Probability measure on a ground set, optionally confined to a carrier.
+
+    The constructor validates the weights, as every measure read from a
+    document needs; ``_derived`` builds one that capid derived itself.
+    """
 
     ground: GroundSet
     weights: tuple[Num, ...]
@@ -177,7 +195,7 @@ class Measure:
         tol = self.tol
         for w in self.weights:
             if not ge(w, 0, tol):
-                raise ValidationError(f"negative weight {w!r}")
+                raise ValidationError(f"negative weight {format_number(w)}")
         total = fold_sum(self.weights)
         if not eq(total, 1, tol):
             raise ValidationError(f"weights sum to {total}, expected 1")
@@ -189,6 +207,17 @@ class Measure:
             for i, w in enumerate(self.weights):
                 if not self.carrier >> i & 1 and not eq(w, 0, tol):
                     raise ValidationError("measure puts mass outside its carrier")
+
+    @classmethod
+    def _derived(
+        cls, ground: GroundSet, weights: tuple[Num, ...], carrier: Optional[int] = None
+    ) -> "Measure":
+        """A measure whose weights capid computed from validated inputs, built
+        without the checks: an LP solution over the probability simplex, the
+        per-rule parts of a decomposition, or such a part moved onto menus."""
+        m = object.__new__(cls)
+        m.__dict__.update(ground=ground, weights=weights, carrier=carrier)
+        return m
 
     @cached_property
     def is_exact(self) -> bool:
@@ -247,6 +276,9 @@ class Capacity:
 
     When a carrier C is attached the capacity satisfies nu(K) = nu(K & C) for
     every K, i.e. it is the cylindrical extension of a capacity living on C.
+
+    The constructor validates all of that, as every capacity read from a
+    document needs; ``_derived`` builds one that holds by construction.
     """
 
     ground: GroundSet
@@ -293,6 +325,34 @@ class Capacity:
                 if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
 
+    @classmethod
+    def _derived(
+        cls,
+        ground: GroundSet,
+        table: Sequence[Num],
+        carrier: int,
+        values: Optional[tuple[Num, ...]] = None,
+    ) -> "Capacity":
+        """A capacity that capid derived from validated inputs and that is
+        monotone, convex and carried by ``carrier`` by construction, built
+        without the checks.  ``table`` holds its values on the carrier's
+        subsets, indexed like ``carrier_masks(carrier)``, and ``values``
+        defaults to the table spread to every mask.  ``is_exact`` and
+        ``int_view`` are read off the table (``is_exact`` off ``values`` when
+        given), on the index list that spreads it, and ``is_convex`` answers
+        True without a scan."""
+        index = _spread_index(carrier, ground.size)
+        exact = all_exact(table if values is None else values)
+        if values is None:
+            values = tuple(map(table.__getitem__, index))
+        nu = object.__new__(cls)
+        memo = nu.__dict__
+        memo.update(ground=ground, values=values, carrier=carrier, is_exact=exact, _convex=True)
+        if exact:
+            nums, scale = int_numerators(table)
+            memo["int_view"] = tuple(map(nums.__getitem__, index)), scale
+        return nu
+
     # computed once per capacity: is_exact and int_view scan all 2^n values.
     # A cached property writes the instance __dict__, which a frozen
     # dataclass allows, and stays out of equality, hashing and repr.
@@ -316,6 +376,32 @@ class Capacity:
     def tol(self) -> Num:
         return ZERO if self.is_exact else FLOAT_TOL
 
+    @cached_property
+    def _convex(self) -> bool:
+        """Local supermodularity: nu(K+i+j) + nu(K) >= nu(K+i) + nu(K+j).
+
+        The local inequalities, over labels i, j of the carrier and subsets K
+        of the carrier without them, add up to the pairwise definition
+        nu(K|K') + nu(K&K') >= nu(K) + nu(K'), so they are equivalent to it
+        (Grabisch 2016, ch. 2).  Values are constant in the directions off
+        the carrier, so the test stays on the carrier's subsets:
+        O(|C|^2 2^|C|).
+        """
+        values, tol = (self.int_view[0], 0) if self.is_exact else (self.values, self.tol)
+        active = self.active
+        bits = [1 << i for i in range(self.ground.size) if active >> i & 1]
+        for a, bit_i in enumerate(bits):
+            for bit_j in bits[a + 1:]:
+                pair = bit_i | bit_j
+                for mask in submasks(active & ~pair):
+                    if not ge(
+                        values[mask | pair] + values[mask],
+                        values[mask | bit_i] + values[mask | bit_j],
+                        tol,
+                    ):
+                        return False
+        return True
+
     @property
     def active(self) -> int:
         """The carrier, or the full ground set when none is attached."""
@@ -335,28 +421,10 @@ class Capacity:
 
 
 def is_convex(nu: Capacity) -> bool:
-    """Local supermodularity: nu(K+i+j) + nu(K) >= nu(K+i) + nu(K+j).
-
-    The local inequalities, over labels i, j of the carrier and subsets K of
-    the carrier without them, add up to the pairwise definition
-    nu(K|K') + nu(K&K') >= nu(K) + nu(K'), so they are equivalent to it
-    (Grabisch 2016, ch. 2).  Values are constant in the directions off the
-    carrier, so the test stays on the carrier's subsets: O(|C|^2 2^|C|).
-    """
-    values, tol = (nu.int_view[0], 0) if nu.is_exact else (nu.values, nu.tol)
-    active = nu.active
-    bits = [1 << i for i in range(nu.ground.size) if active >> i & 1]
-    for a, bit_i in enumerate(bits):
-        for bit_j in bits[a + 1:]:
-            pair = bit_i | bit_j
-            for mask in submasks(active & ~pair):
-                if not ge(
-                    values[mask | pair] + values[mask],
-                    values[mask | bit_i] + values[mask | bit_j],
-                    tol,
-                ):
-                    return False
-    return True
+    """Whether ``nu`` is convex (supermodular).  The test runs at most once
+    per capacity; a capacity from ``Capacity._derived`` is convex by
+    construction and is not scanned at all."""
+    return nu._convex
 
 
 def _moebius(values: list[Num], n: int, sign: int) -> list[Num]:
@@ -624,7 +692,7 @@ def decompose_in_mixture_core(
             weights_i = [Fraction(0)] * n
             for i, var in var_of[ci].items():
                 weights_i[i] = solution[var]
-            out.append(Measure(ground, tuple(_back(w) for w in weights_i), carrier))
+            out.append(Measure._derived(ground, tuple(_back(w) for w in weights_i), carrier))
         else:
             # zero-weight component: any core member will do, and for a convex
             # capacity the first vertex core_vertices lists is one
@@ -644,61 +712,3 @@ def _ascending_marginal_vector(nu: Capacity) -> Measure:
             weights[i] = nu.values[prefix | 1 << i] - nu.values[prefix]
             prefix |= 1 << i
     return Measure(nu.ground, tuple(weights), nu.active)
-
-
-def cylindrical_extension(nu_on_c: Capacity, ground: GroundSet) -> Capacity:
-    """View a capacity on C as one on a larger ground set via nu'(K) = nu(K & C)."""
-    for label in nu_on_c.ground.labels:
-        if label not in ground:
-            raise ValidationError(f"carrier label {label!r} missing from the target ground set")
-    carrier = ground.mask_of(nu_on_c.ground.labels)
-    positions = [ground.index(l) for l in nu_on_c.ground.labels]
-    values = []
-    for mask in ground.masks():
-        small = 0
-        for j, pos in enumerate(positions):
-            if mask >> pos & 1:
-                small |= 1 << j
-        values.append(nu_on_c.values[small])
-    return Capacity(ground, tuple(values), carrier)
-
-
-def pushforward(
-    psi: Capacity, mapping: Mapping[Label, Label], target: GroundSet
-) -> Capacity:
-    """Image capacity nu(K) = psi(preimage of K) along a total point map.
-
-    Convexity survives the pushforward, and the core of the image is exactly
-    the set of image measures of the core.
-    """
-    preimage_bits = []
-    for label in psi.ground.labels:
-        if label not in mapping:
-            raise ValidationError(f"map is not total: {label!r} has no image")
-        preimage_bits.append(target.singleton(mapping[label]))
-    values = []
-    for mask in target.masks():
-        pre = 0
-        for i, bit in enumerate(preimage_bits):
-            if bit & mask:
-                pre |= 1 << i
-        values.append(psi.values[pre])
-    image = 0
-    for bit in preimage_bits:
-        image |= bit
-    return Capacity(target, tuple(values), image)
-
-
-def pushforward_measure(
-    pi: Measure, mapping: Mapping[Label, Label], target: GroundSet
-) -> Measure:
-    """Image measure of ``pi`` along a total point map into ``target``."""
-    weights: list[Num] = [0] * target.size
-    image = 0
-    for i, label in enumerate(pi.ground.labels):
-        if label not in mapping:
-            raise ValidationError(f"map is not total: {label!r} has no image")
-        j = target.index(mapping[label])
-        weights[j] = weights[j] + pi.weights[i]
-        image |= 1 << j
-    return Measure(target, tuple(weights), image)

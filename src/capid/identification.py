@@ -44,7 +44,6 @@ from .capacity import (
     Measure,
     decompose_in_mixture_core,
     mass_table,
-    pushforward_measure,
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
@@ -100,9 +99,6 @@ class DecisionRule:
                     f"rule {self.rule_id!r} picks {choice!r} outside its menu"
                 )
 
-    def choice_map(self, collection: MenuCollection) -> dict[str, Label]:
-        return {str(i): c for i, c in enumerate(self.choices)}
-
 
 def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
     """Mask of all alternatives the rule can produce across the collection."""
@@ -111,16 +107,6 @@ def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
     for choice in rule.choices:
         mask |= collection.ground.singleton(choice)
     return mask
-
-
-def induce_choice_distribution(
-    pi: Measure, rule: DecisionRule, collection: MenuCollection
-) -> Measure:
-    """Distribution over chosen alternatives induced by a menu distribution."""
-    rule.validate_on(collection)
-    if pi.ground != collection.menu_ground():
-        raise ValidationError("menu measure does not match the collection")
-    return pushforward_measure(pi, rule.choice_map(collection), collection.ground)
 
 
 @dataclass(frozen=True)
@@ -327,7 +313,7 @@ def _measure_over_rules(
     problem: IdentificationProblem, point: Sequence[Fraction], exact: bool
 ) -> Measure:
     weights = tuple(w if exact else float(w) for w in point)
-    return Measure(problem.rule_ground(), weights)
+    return Measure._derived(problem.rule_ground(), weights)
 
 
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
@@ -442,7 +428,7 @@ def construct_menu_measures(
                     "distribution puts mass outside the rule's range"
                 )
             weights[menu_idx] = weights[menu_idx] + w
-        out[rule.rule_id] = Measure(menu_ground, tuple(weights))
+        out[rule.rule_id] = Measure._derived(menu_ground, tuple(weights))
     return out
 
 
@@ -494,7 +480,7 @@ def check_menu_homogeneous(
     if point is None:
         return None
     weights = tuple(w if exact else float(w) for w in point)
-    return Measure(collection.menu_ground(), weights)
+    return Measure._derived(collection.menu_ground(), weights)
 
 
 def problem_from_info_specs(

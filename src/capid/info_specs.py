@@ -11,6 +11,21 @@ Such a capacity is the cylindrical extension nu(K) = nu(K & C) of one on the
 carrier C, so ``build_capacity`` computes the 2^|C| values on the carrier's
 subsets and shares each one, as the same object, across the other masks.
 
+The specifications validate their parameters, which come from a document.
+The capacities built from valid parameters are monotone and convex by
+theorem, so ``build_capacity`` makes them with ``Capacity._derived``, which
+skips the monotonicity, carrier and convexity scans.  Ignorance is the
+vacuous belief function.  The lower probabilities of epsilon-contamination
+classes and of total-variation neighborhoods are 2-monotone (Wasserman &
+Kadane 1990), and so is that of a set of probability intervals,
+max(lower(K), 1 - upper(C minus K)) (de Campos, Huete & Moral 1994).  A
+point mass gives an additive capacity.  An explicit capacity is read from a
+document: its constructor validates it, and ``build_capacity`` tests it for
+convexity once.  Float mode checks the parameters up to the 1e-9
+tolerance, so a capacity built from parameters at that edge (a weight of
+-1e-9, say) can miss monotonicity or convexity by about as much; it is used
+as it is, as the toleranced comparisons downstream allow.
+
 Supported families:
 
 * ``Ignorance`` — every distribution on the carrier.
@@ -29,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, spread, submasks
+from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
 from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
 
@@ -183,12 +198,13 @@ def build_capacity(spec: InfoSpec) -> Capacity:
 
     The parametric families evaluate their formula once per subset t of the
     carrier, on subset-sum tables of the vectors restricted to the carrier,
-    and ``spread`` shares each value with every mask K where K & C is t.
-    Entry t of a restricted table adds the same weights in the same order as
-    the full table's entry at t's mask, so the values are those of the
-    per-mask formula, bit for bit.  A point mass keeps ``from_measure``,
-    whose off-carrier masks hold their own sums (the float 0.0 at a mask
-    that misses the carrier, where the carrier table holds the int 0).
+    and ``Capacity._derived`` shares each value with every mask K where
+    K & C is t.  Entry t of a restricted table adds the same weights in the
+    same order as the full table's entry at t's mask, so the values are
+    those of the per-mask formula, bit for bit.  A point mass keeps the
+    measure's sums at every mask, as ``Capacity.from_measure`` does: an
+    off-carrier mask holds its own sum (the float 0.0 at a mask that misses
+    the carrier, where the carrier table holds the int 0).
     """
     ground, carrier = spec.ground, spec.carrier
     top = (1 << carrier.bit_count()) - 1
@@ -221,12 +237,17 @@ def build_capacity(spec: InfoSpec) -> Capacity:
             raise NotConvexError("explicit specification requires a convex capacity")
         if spec.nu.carrier is not None:
             return spec.nu
-        return Capacity(ground, spec.nu.values, carrier)
+        # without a carrier of its own the capacity spans the ground set,
+        # which the spec's carrier must then be
+        return Capacity._derived(ground, spec.nu.values, carrier)
     elif isinstance(spec, PointMass):
-        return Capacity.from_measure(spec.rho, carrier)
+        weights = spec.rho.weights
+        return Capacity._derived(
+            ground, mass_table(_on_carrier(weights, carrier)), carrier, tuple(mass_table(weights))
+        )
     else:
         raise ValidationError(f"unknown specification {type(spec).__name__}")
-    return Capacity(ground, spread(values, carrier, ground.size), carrier)
+    return Capacity._derived(ground, values, carrier)
 
 
 def _on_carrier(vec: tuple[Num, ...], carrier: int) -> list[Num]:

@@ -17,7 +17,6 @@ from .capacity import Label, Measure, core_vertices
 from .errors import ValidationError
 from .identification import DecisionRule, MenuCollection
 from .info_specs import InfoSpec, build_capacity
-from .numeric import Num
 
 PRNG_ID = "python-random-mersenne-twister"
 
@@ -30,21 +29,6 @@ class PreferenceOrder:
 
     def name(self) -> str:
         return "pref:" + ">".join(str(l) for l in self.ranking)
-
-
-@dataclass(frozen=True)
-class SatisficingSpec:
-    """Threshold search: values, an aspiration level, and a consideration order."""
-
-    values: tuple[tuple[Label, Num], ...]
-    threshold: Num
-    search_order: tuple[Label, ...]
-
-    def value_of(self, label: Label) -> Num:
-        for key, v in self.values:
-            if key == label:
-                return v
-        raise ValidationError(f"no value assigned to {label!r}")
 
 
 def rules_from_preferences(
@@ -61,31 +45,6 @@ def rules_from_preferences(
             best = next(l for l in order.ranking if ground.singleton(l) & menu)
             choices.append(best)
         out.append(DecisionRule(order.name(), tuple(choices)))
-    return out
-
-
-def rules_from_satisficing(
-    specs: Sequence[SatisficingSpec], collection: MenuCollection
-) -> list[DecisionRule]:
-    """Threshold searchers walking their consideration order within each menu.
-
-    The first satisfactory alternative is taken; when a menu offers none, the
-    searcher settles for the menu's last alternative in consideration order.
-    """
-    ground = collection.ground
-    out = []
-    for idx, spec in enumerate(specs):
-        if set(spec.search_order) != set(ground.labels):
-            raise ValidationError("search order must be a permutation of the ground set")
-        choices = []
-        for menu in collection.menus:
-            in_menu = [l for l in spec.search_order if ground.singleton(l) & menu]
-            pick = next(
-                (l for l in in_menu if spec.value_of(l) >= spec.threshold),
-                in_menu[-1],
-            )
-            choices.append(pick)
-        out.append(DecisionRule(f"sat{idx}:{spec.threshold}", tuple(choices)))
     return out
 
 

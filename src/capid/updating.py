@@ -124,36 +124,6 @@ class KappaRange:
         return self.lo <= kappa <= self.hi
 
 
-def bayes_posterior(experiment: Measure, grid: OddsGrid) -> Measure:
-    """Posterior odds when the change in odds is distributed as the signal."""
-    if experiment.ground != grid.shifted:
-        raise ValidationError("experiment must live on the shifted grid")
-    return Measure(grid.ground, experiment.weights)
-
-
-def apply_update_rule(kappa: Num, experiment: Measure, grid: OddsGrid) -> Measure:
-    """Blend the posterior with the prior point mass at weight kappa.
-
-    kappa = 0 reproduces ``bayes_posterior``; kappa = 1 collapses onto the
-    prior.  Negative kappa overshoots away from the prior and is admissible
-    only while all probabilities stay nonnegative.
-    """
-    if kappa > 1:
-        raise ValidationError("kappa cannot exceed 1")
-    posterior = bayes_posterior(experiment, grid)
-    prior_idx = grid.ground.index(grid.prior)
-    weights = list((1 - kappa) * w for w in posterior.weights)
-    weights[prior_idx] += kappa
-    tol = tol_for(weights)
-    for w in weights:
-        if not ge(w, 0, tol):
-            raise ValidationError(
-                f"kappa {kappa} drives a posterior weight negative; it lies "
-                "below the admissible floor for this experiment"
-            )
-    return Measure(grid.ground, tuple(weights))
-
-
 def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capacity:
     """Capacity whose core is the set of kappa-updated posterior distributions.
 
@@ -258,8 +228,3 @@ def rationalizing_kappa_interval(
     else:
         diagnosis = "overreaction"
     return KappaSolution(False, lo, hi, diagnosis, tuple(under), tuple(over))
-
-
-def average_bias(q: Measure) -> Num:
-    """Mean kappa of a distribution over update rules (labels are kappas)."""
-    return sum(w * label for w, label in zip(q.weights, q.ground.labels))

@@ -1,0 +1,164 @@
+"""Model helpers that capid itself does not call, kept for the tests.
+
+Pushforwards of capacities and measures along point maps, the cylindrical
+extension of a capacity on a carrier, the choice distribution a menu
+distribution induces under a decision rule, Bayes posteriors and the
+kappa-updated posteriors of the updating model, the average bias of a
+distribution over update rules, and satisficing decision rules.  The tests
+use them to build inputs and to state the theory's facts (cores commute with
+pushforwards, the updating reduction), which the engine relies on without
+calling them.
+"""
+
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+from capid.capacity import Capacity, GroundSet, Label, Measure
+from capid.errors import ValidationError
+from capid.identification import DecisionRule, MenuCollection
+from capid.numeric import Num, ge, tol_for
+from capid.updating import OddsGrid
+
+
+def cylindrical_extension(nu_on_c: Capacity, ground: GroundSet) -> Capacity:
+    """View a capacity on C as one on a larger ground set via nu'(K) = nu(K & C)."""
+    for label in nu_on_c.ground.labels:
+        if label not in ground:
+            raise ValidationError(f"carrier label {label!r} missing from the target ground set")
+    carrier = ground.mask_of(nu_on_c.ground.labels)
+    positions = [ground.index(l) for l in nu_on_c.ground.labels]
+    values = []
+    for mask in ground.masks():
+        small = 0
+        for j, pos in enumerate(positions):
+            if mask >> pos & 1:
+                small |= 1 << j
+        values.append(nu_on_c.values[small])
+    return Capacity(ground, tuple(values), carrier)
+
+
+def pushforward(
+    psi: Capacity, mapping: Mapping[Label, Label], target: GroundSet
+) -> Capacity:
+    """Image capacity nu(K) = psi(preimage of K) along a total point map.
+
+    Convexity survives the pushforward, and the core of the image is exactly
+    the set of image measures of the core.
+    """
+    preimage_bits = []
+    for label in psi.ground.labels:
+        if label not in mapping:
+            raise ValidationError(f"map is not total: {label!r} has no image")
+        preimage_bits.append(target.singleton(mapping[label]))
+    values = []
+    for mask in target.masks():
+        pre = 0
+        for i, bit in enumerate(preimage_bits):
+            if bit & mask:
+                pre |= 1 << i
+        values.append(psi.values[pre])
+    image = 0
+    for bit in preimage_bits:
+        image |= bit
+    return Capacity(target, tuple(values), image)
+
+
+def pushforward_measure(
+    pi: Measure, mapping: Mapping[Label, Label], target: GroundSet
+) -> Measure:
+    """Image measure of ``pi`` along a total point map into ``target``."""
+    weights: list[Num] = [0] * target.size
+    image = 0
+    for i, label in enumerate(pi.ground.labels):
+        if label not in mapping:
+            raise ValidationError(f"map is not total: {label!r} has no image")
+        j = target.index(mapping[label])
+        weights[j] = weights[j] + pi.weights[i]
+        image |= 1 << j
+    return Measure(target, tuple(weights), image)
+
+
+def induce_choice_distribution(
+    pi: Measure, rule: DecisionRule, collection: MenuCollection
+) -> Measure:
+    """Distribution over chosen alternatives induced by a menu distribution."""
+    rule.validate_on(collection)
+    if pi.ground != collection.menu_ground():
+        raise ValidationError("menu measure does not match the collection")
+    choice_map = {str(i): c for i, c in enumerate(rule.choices)}
+    return pushforward_measure(pi, choice_map, collection.ground)
+
+
+def bayes_posterior(experiment: Measure, grid: OddsGrid) -> Measure:
+    """Posterior odds when the change in odds is distributed as the signal."""
+    if experiment.ground != grid.shifted:
+        raise ValidationError("experiment must live on the shifted grid")
+    return Measure(grid.ground, experiment.weights)
+
+
+def apply_update_rule(kappa: Num, experiment: Measure, grid: OddsGrid) -> Measure:
+    """Blend the posterior with the prior point mass at weight kappa.
+
+    kappa = 0 reproduces ``bayes_posterior``; kappa = 1 collapses onto the
+    prior.  Negative kappa overshoots away from the prior and is admissible
+    only while all probabilities stay nonnegative.
+    """
+    if kappa > 1:
+        raise ValidationError("kappa cannot exceed 1")
+    posterior = bayes_posterior(experiment, grid)
+    prior_idx = grid.ground.index(grid.prior)
+    weights = list((1 - kappa) * w for w in posterior.weights)
+    weights[prior_idx] += kappa
+    tol = tol_for(weights)
+    for w in weights:
+        if not ge(w, 0, tol):
+            raise ValidationError(
+                f"kappa {kappa} drives a posterior weight negative; it lies "
+                "below the admissible floor for this experiment"
+            )
+    return Measure(grid.ground, tuple(weights))
+
+
+def average_bias(q: Measure) -> Num:
+    """Mean kappa of a distribution over update rules (labels are kappas)."""
+    return sum(w * label for w, label in zip(q.weights, q.ground.labels))
+
+
+@dataclass(frozen=True)
+class SatisficingSpec:
+    """Threshold search: values, an aspiration level, and a consideration order."""
+
+    values: tuple[tuple[Label, Num], ...]
+    threshold: Num
+    search_order: tuple[Label, ...]
+
+    def value_of(self, label: Label) -> Num:
+        for key, v in self.values:
+            if key == label:
+                return v
+        raise ValidationError(f"no value assigned to {label!r}")
+
+
+def rules_from_satisficing(
+    specs: Sequence[SatisficingSpec], collection: MenuCollection
+) -> list[DecisionRule]:
+    """Threshold searchers walking their consideration order within each menu.
+
+    The first satisfactory alternative is taken; when a menu offers none, the
+    searcher settles for the menu's last alternative in consideration order.
+    """
+    ground = collection.ground
+    out = []
+    for idx, spec in enumerate(specs):
+        if set(spec.search_order) != set(ground.labels):
+            raise ValidationError("search order must be a permutation of the ground set")
+        choices = []
+        for menu in collection.menus:
+            in_menu = [l for l in spec.search_order if ground.singleton(l) & menu]
+            pick = next(
+                (l for l in in_menu if spec.value_of(l) >= spec.threshold),
+                in_menu[-1],
+            )
+            choices.append(pick)
+        out.append(DecisionRule(f"sat{idx}:{spec.threshold}", tuple(choices)))
+    return out

@@ -23,16 +23,14 @@ from capid import (
     capacity_from_mobius,
     core_contains,
     core_vertices,
-    cylindrical_extension,
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
     mixture,
     mobius,
-    pushforward,
-    pushforward_measure,
 )
 from capid.capacity import submasks
+from helpers import cylindrical_extension, pushforward, pushforward_measure
 
 AB = GroundSet.of("ab")
 ABC = GroundSet.of("abc")

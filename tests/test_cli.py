@@ -260,6 +260,79 @@ class TestCapacityAudit:
         assert report["result"]["core_vertex_count"] is None
 
 
+class TestDocumentValidation:
+    """Everything read from a document is checked in full; capid trusts only
+    what it derives from such input."""
+
+    KEYS = ("", "a", "b", "a,b", "c", "a,c", "b,c", "a,b,c")
+
+    @classmethod
+    def _problem(cls, tmp_path, lam=None, explicit=None):
+        """Uniform data, an ignorance rule and, when given, a rule whose
+        explicit capacity has ``explicit`` = (values, carrier) in KEYS order."""
+        doc = {
+            "schema": "capid/1",
+            "labels": ["a", "b", "c"],
+            "lambda": lam or {"a": "1/3", "b": "1/3", "c": "1/3"},
+            "rules": [{"id": "r1", "carrier": ["a", "b", "c"], "info_spec": {"tag": "ignorance"}}],
+            "options": {},
+        }
+        if explicit is not None:
+            values, carrier = explicit
+            capacity = {"labels": ["a", "b", "c"], "values": dict(zip(cls.KEYS, values))}
+            if carrier is not None:
+                capacity["carrier"] = carrier
+            doc["rules"].append({
+                "id": "r2",
+                "carrier": ["a", "b", "c"],
+                "info_spec": {"tag": "explicit", "params": {"capacity": capacity}},
+            })
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("values,carrier,kind,message", [
+        (
+            ["0", "1/2", "0", "1/4", "0", "1/2", "1/2", "1"], None,
+            "ValidationError", "capacity not monotone at a + 'b'",
+        ),
+        (
+            ["0", "1/4", "1/4", "1/2", "1/4", "1/2", "1/2", "1"], ["a", "b"],
+            "ValidationError", "capacity is not constant across its carrier",
+        ),
+        (
+            ["0", "1/2", "1/2", "1/2", "1/2", "1/2", "1/2", "1"], None,
+            "NotConvexError", "explicit specification requires a convex capacity",
+        ),
+    ], ids=["non_monotone", "not_constant_across_carrier", "non_convex"])
+    def test_bad_explicit_capacity_exits_2(self, capsys, tmp_path, values, carrier, kind, message):
+        path = self._problem(tmp_path, explicit=(values, carrier))
+        code, report = run(capsys, "exists", "--input", path)
+        assert code == 2
+        assert report["error"] == {"type": kind, "message": message}
+
+    @pytest.mark.parametrize("lam,message", [
+        ({"a": "-1/4", "b": "1/2", "c": "3/4"}, "negative weight -1/4"),
+        ({"a": "1/4", "b": "1/4", "c": "1/4"}, "weights sum to 3/4, expected 1"),
+    ], ids=["negative_weight", "bad_sum"])
+    def test_bad_lambda_exits_2(self, capsys, tmp_path, lam, message):
+        code, report = run(capsys, "exists", "--input", self._problem(tmp_path, lam=lam))
+        assert code == 2
+        assert report["error"] == {"type": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize("q,mode,message", [
+        ({"pref:a>b>c": "-1/2", "pref:a>c>b": "3/2"}, "exact", "negative weight -1/2"),
+        ({"pref:a>b>c": "-1/2", "pref:a>c>b": "3/2"}, "float", "negative weight -0.5"),
+        ({"pref:a>b>c": "1/4", "pref:a>c>b": "1/4"}, "exact", "weights sum to 1/2, expected 1"),
+    ], ids=["negative_weight", "negative_weight_float", "bad_sum"])
+    def test_bad_q_exits_2(self, capsys, q, mode, message):
+        code, report = run(
+            capsys, "check", "--input", TWO_ORDERS, "--mode", mode, "--q", json.dumps(q)
+        )
+        assert code == 2
+        assert report["error"] == {"type": "ValidationError", "message": message}
+
+
 class TestSimulate:
     def test_output_is_a_problem_document(self, capsys, tmp_path):
         out = tmp_path / "synth.json"

@@ -34,13 +34,13 @@ from capid.identification import (
     construct_menu_measures,
     exists_rationalizing,
     identified_vertices,
-    induce_choice_distribution,
     probability_bounds,
     problem_from_info_specs,
     witness_decomposition,
 )
 from capid.info_specs import Contamination, Ignorance, PointMass, build_capacity
 from capid.simulate import PreferenceOrder, rules_from_preferences
+from helpers import induce_choice_distribution
 
 ABC = GroundSet.of("abc")
 

@@ -21,6 +21,7 @@ from capid import (
     is_belief_function,
     is_convex,
 )
+from capid.identification import IdentificationProblem, ProblemRule
 from capid.info_specs import (
     Contamination,
     ExplicitCapacity,
@@ -134,6 +135,14 @@ class TestBuildCapacity:
         with pytest.raises(NotConvexError):
             build_capacity(ExplicitCapacity(AB, AB.full_mask, bad))
 
+    def test_non_convex_explicit_is_rejected_by_the_problem_too(self):
+        # the failed convexity test is kept on the capacity and still rejects
+        bad = Capacity(AB, (F(0), F(7, 10), F(7, 10), F(1)))
+        with pytest.raises(NotConvexError, match="requires a convex capacity"):
+            build_capacity(ExplicitCapacity(AB, AB.full_mask, bad))
+        with pytest.raises(ValidationError, match="capacity must be convex"):
+            IdentificationProblem(AB, (ProblemRule("r", AB.full_mask, bad),), Measure.uniform(AB))
+
     def test_point_mass_is_measure_capacity(self):
         rho = Measure(ABC, (F(1, 2), F(1, 2), F(0)), ABC.mask_of("ab"))
         nu = build_capacity(PointMass(ABC, ABC.mask_of("ab"), rho))
@@ -227,10 +236,13 @@ class TestCoreEquivalence:
                 )
 
     def test_all_families_build_convex(self):
+        # build_capacity's capacities record that they are convex, so the
+        # test runs on a copy that the validating constructor builds
         for carrier_labels in ("ab", "abc"):
             carrier = ABC.mask_of(carrier_labels)
             for spec in _sample_specs(ABC, carrier):
-                assert is_convex(build_capacity(spec)), spec.tag
+                nu = build_capacity(spec)
+                assert is_convex(Capacity(nu.ground, nu.values, nu.carrier)), spec.tag
 
     def test_ignorance_and_contamination_are_belief_functions(self):
         carrier = ABC.mask_of("ab")

@@ -16,9 +16,8 @@ from capid import (
     is_convex,
     mixture,
     mobius,
-    pushforward,
-    pushforward_measure,
 )
+from helpers import pushforward, pushforward_measure
 
 
 class TestMixtureLinearity:
