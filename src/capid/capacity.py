@@ -27,7 +27,6 @@ is convex, and ``is_convex`` scans any other capacity at most once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -113,13 +112,11 @@ def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
     return tuple(map(small.__getitem__, _spread_index(carrier, n)))
 
 
-@dataclass(frozen=True)
 class GroundSet:
     """Ordered finite set of alternatives; subsets are bitmasks over it."""
 
-    labels: tuple[Label, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[Label, ...]) -> None:
+        self.labels = labels
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("ground set labels must be distinct")
         if len(self.labels) < 1:
@@ -129,6 +126,17 @@ class GroundSet:
                 f"ground set of size {len(self.labels)} exceeds the cap "
                 f"{_max_ground_size()} (set CAPID_MAX_N to override)"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __repr__(self) -> str:
+        return f"GroundSet(labels={self.labels!r})"
 
     @classmethod
     def of(cls, labels: Iterable[Label]) -> "GroundSet":
@@ -176,7 +184,6 @@ class GroundSet:
         return ",".join(str(l) for l in self.labels_of(mask))
 
 
-@dataclass(frozen=True)
 class Measure:
     """Probability measure on a ground set, optionally confined to a carrier.
 
@@ -184,11 +191,12 @@ class Measure:
     document needs; ``_derived`` builds one that capid derived itself.
     """
 
-    ground: GroundSet
-    weights: tuple[Num, ...]
-    carrier: Optional[int] = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ground: GroundSet, weights: tuple[Num, ...], carrier: Optional[int] = None
+    ) -> None:
+        self.ground = ground
+        self.weights = weights
+        self.carrier = carrier
         n = self.ground.size
         if len(self.weights) != n:
             raise ValidationError("measure weight vector has wrong length")
@@ -207,6 +215,22 @@ class Measure:
             for i, w in enumerate(self.weights):
                 if not self.carrier >> i & 1 and not eq(w, 0, tol):
                     raise ValidationError("measure puts mass outside its carrier")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.weights, self.carrier) == (
+            other.ground, other.weights, other.carrier
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.weights, self.carrier))
+
+    def __repr__(self) -> str:
+        return (
+            f"Measure(ground={self.ground!r}, weights={self.weights!r}, "
+            f"carrier={self.carrier!r})"
+        )
 
     @classmethod
     def _derived(
@@ -270,7 +294,6 @@ class Measure:
         return cls(ground, tuple(weights), carrier)
 
 
-@dataclass(frozen=True)
 class Capacity:
     """Monotone set function with nu(empty)=0 and nu(X)=1, dense over bitmasks.
 
@@ -281,11 +304,12 @@ class Capacity:
     document needs; ``_derived`` builds one that holds by construction.
     """
 
-    ground: GroundSet
-    values: tuple[Num, ...]
-    carrier: Optional[int] = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ground: GroundSet, values: tuple[Num, ...], carrier: Optional[int] = None
+    ) -> None:
+        self.ground = ground
+        self.values = values
+        self.carrier = carrier
         n = self.ground.size
         if len(self.values) != 1 << n:
             raise ValidationError(
@@ -325,6 +349,22 @@ class Capacity:
                 if not eq(values[mask], values[mask & active], tol):
                     raise ValidationError("capacity is not constant across its carrier")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.values, self.carrier) == (
+            other.ground, other.values, other.carrier
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.values, self.carrier))
+
+    def __repr__(self) -> str:
+        return (
+            f"Capacity(ground={self.ground!r}, values={self.values!r}, "
+            f"carrier={self.carrier!r})"
+        )
+
     @classmethod
     def _derived(
         cls,
@@ -354,8 +394,9 @@ class Capacity:
         return nu
 
     # computed once per capacity: is_exact and int_view scan all 2^n values.
-    # A cached property writes the instance __dict__, which a frozen
-    # dataclass allows, and stays out of equality, hashing and repr.
+    # A cached property stores its value in the instance __dict__, next to
+    # the fields; equality, hashing and repr read the fields by name, so
+    # they never see it.
     @cached_property
     def is_exact(self) -> bool:
         return all_exact(self.values)

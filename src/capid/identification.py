@@ -30,7 +30,6 @@ over their common denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from operator import mul
@@ -56,14 +55,12 @@ MAX_RULES_FOR_VERTICES = 8
 MAX_REPORTED_VIOLATIONS = 64
 
 
-@dataclass(frozen=True)
 class MenuCollection:
     """The menus the analyst considers relevant, as masks over the ground set."""
 
-    ground: GroundSet
-    menus: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, ground: GroundSet, menus: tuple[int, ...]) -> None:
+        self.ground = ground
+        self.menus = menus
         if not self.menus:
             raise ValidationError("menu collection must be nonempty")
         for menu in self.menus:
@@ -81,12 +78,12 @@ class MenuCollection:
         return GroundSet(tuple(str(i) for i in range(len(self.menus))))
 
 
-@dataclass(frozen=True)
 class DecisionRule:
     """Total choice assignment: ``choices[i]`` is picked from menu i."""
 
-    rule_id: str
-    choices: tuple[Label, ...]
+    def __init__(self, rule_id: str, choices: tuple[Label, ...]) -> None:
+        self.rule_id = rule_id
+        self.choices = choices
 
     def validate_on(self, collection: MenuCollection) -> None:
         if len(self.choices) != len(collection.menus):
@@ -109,15 +106,13 @@ def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class ProblemRule:
     """One rule as the identification engine sees it: id, carrier, capacity."""
 
-    rule_id: str
-    carrier: int
-    capacity: Capacity
-
-    def __post_init__(self) -> None:
+    def __init__(self, rule_id: str, carrier: int, capacity: Capacity) -> None:
+        self.rule_id = rule_id
+        self.carrier = carrier
+        self.capacity = capacity
         cap_carrier = self.capacity.carrier
         if cap_carrier is not None and cap_carrier & ~self.carrier:
             raise ValidationError(
@@ -138,13 +133,13 @@ class ProblemRule:
                     )
 
 
-@dataclass(frozen=True)
 class IdentificationProblem:
-    ground: GroundSet
-    rules: tuple[ProblemRule, ...]
-    data: Measure
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ground: GroundSet, rules: tuple[ProblemRule, ...], data: Measure
+    ) -> None:
+        self.ground = ground
+        self.rules = rules
+        self.data = data
         if not self.rules:
             raise ValidationError("at least one rule is required")
         ids = [r.rule_id for r in self.rules]
@@ -167,18 +162,24 @@ class IdentificationProblem:
         return GroundSet(tuple(r.rule_id for r in self.rules))
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of a dominance check; ``violated`` holds (subset mask, shortfall)."""
 
-    rationalizes: bool
-    violated: tuple[tuple[int, Num], ...]
-    violation_count: int
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rationalizes: bool, violated: tuple[tuple[int, Num], ...], violation_count: int
+    ) -> None:
+        self.rationalizes = rationalizes
+        self.violated = violated
+        self.violation_count = violation_count
         # capid builds every verdict, so a mismatch is its own fault
         if self.rationalizes != (self.violation_count == 0):
             raise CapidError("verdict flag inconsistent with violations")
+
+    def __repr__(self) -> str:
+        return (
+            f"Verdict(rationalizes={self.rationalizes!r}, violated={self.violated!r}, "
+            f"violation_count={self.violation_count!r})"
+        )
 
 
 def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
@@ -223,9 +224,13 @@ def dominance_verdict(
     MAX_REPORTED_VIOLATIONS shortfalls are listed, all are counted."""
     scales, rows = _dominance_rows(lam, capacities, weights)
     if scales is None:
+        # a float weight times a Fraction value is float(w) * float(v), so
+        # float weights take float(v) directly, without Fraction.__rmul__
+        floats = all(isinstance(w, float) for w in weights)
         failing = (
             mask for mask, column, lam_k in rows
-            if fold_sum(w * v for w, v in zip(weights, column)) - lam_k > FLOAT_TOL
+            if fold_sum(map(mul, weights, map(float, column) if floats else column))
+            - lam_k > FLOAT_TOL
         )
     else:
         # sum_d (w_d/W)(N_d/L) > Lam/D, with W, L and D positive

@@ -40,51 +40,60 @@ Supported families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
 
 from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
 from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
 
 
-@dataclass(frozen=True)
 class InfoSpec:
-    """Common shape: a ground set and a carrier mask."""
+    """Common shape: a ground set and a carrier mask.
 
-    ground: GroundSet
-    carrier: int
+    A specification's fields are its whole instance ``__dict__``, set in
+    constructor order, so equality, hashing and repr read them from there.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground: GroundSet, carrier: int) -> None:
+        self.ground = ground
+        self.carrier = carrier
         if self.carrier == 0:
             raise ValidationError("carrier must be nonempty")
         if self.carrier > self.ground.full_mask:
             raise ValidationError("carrier is not a subset of the ground set")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     @property
     def tag(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Ignorance(InfoSpec):
     """Anything on the carrier goes."""
 
     tag = "ignorance"
 
 
-@dataclass(frozen=True)
 class Contamination(InfoSpec):
     """(1 - epsilon) * focal + epsilon * (anything on the carrier)."""
 
-    rho_hat: Measure
-    epsilon: Num
-
     tag = "contamination"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, ground: GroundSet, carrier: int, rho_hat: Measure, epsilon: Num) -> None:
+        super().__init__(ground, carrier)
+        self.rho_hat = rho_hat
+        self.epsilon = epsilon
         if self.rho_hat.ground != self.ground:
             raise ValidationError("focal measure lives on a different ground set")
         if not (ge(self.epsilon, 0, 0) and ge(1, self.epsilon, 0)):
@@ -93,7 +102,6 @@ class Contamination(InfoSpec):
             raise ValidationError("focal measure puts mass outside the carrier")
 
 
-@dataclass(frozen=True)
 class VariationNeighborhood(InfoSpec):
     """Closed ball of radius epsilon around a reference, in total variation.
 
@@ -101,13 +109,12 @@ class VariationNeighborhood(InfoSpec):
     the core of its lower probability (cores are closed).
     """
 
-    reference: Measure
-    epsilon: Num
-
     tag = "variation-neighborhood"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, ground: GroundSet, carrier: int, reference: Measure, epsilon: Num) -> None:
+        super().__init__(ground, carrier)
+        self.reference = reference
+        self.epsilon = epsilon
         if self.reference.ground != self.ground:
             raise ValidationError("reference measure lives on a different ground set")
         if not self.epsilon > 0:
@@ -116,7 +123,6 @@ class VariationNeighborhood(InfoSpec):
             raise ValidationError("reference measure puts mass outside the carrier")
 
 
-@dataclass(frozen=True)
 class IntervalBelief(InfoSpec):
     """Setwise sandwich lower(K) <= rho(K) <= upper(K) on the carrier.
 
@@ -124,13 +130,14 @@ class IntervalBelief(InfoSpec):
     extended additively to sets; the carrier totals must straddle 1 strictly.
     """
 
-    lower: tuple[Num, ...]
-    upper: tuple[Num, ...]
-
     tag = "interval-belief"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(
+        self, ground: GroundSet, carrier: int, lower: tuple[Num, ...], upper: tuple[Num, ...]
+    ) -> None:
+        super().__init__(ground, carrier)
+        self.lower = lower
+        self.upper = upper
         n = self.ground.size
         if len(self.lower) != n or len(self.upper) != n:
             raise ValidationError("bound vectors have wrong length")
@@ -161,32 +168,28 @@ class IntervalBelief(InfoSpec):
         return self._sum(self.upper, self.carrier) - 1
 
 
-@dataclass(frozen=True)
 class ExplicitCapacity(InfoSpec):
     """A convex capacity given directly; its core is the credal set."""
 
-    nu: Capacity
-
     tag = "explicit"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, ground: GroundSet, carrier: int, nu: Capacity) -> None:
+        super().__init__(ground, carrier)
+        self.nu = nu
         if self.nu.ground != self.ground:
             raise ValidationError("capacity lives on a different ground set")
         if self.nu.active & ~self.carrier:
             raise ValidationError("capacity carrier exceeds the declared carrier")
 
 
-@dataclass(frozen=True)
 class PointMass(InfoSpec):
     """Perfect information: a single admissible distribution."""
 
-    rho: Measure
-
     tag = "point"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, ground: GroundSet, carrier: int, rho: Measure) -> None:
+        super().__init__(ground, carrier)
+        self.rho = rho
         if self.rho.ground != self.ground:
             raise ValidationError("distribution lives on a different ground set")
         if self.rho.support() & ~self.carrier:
@@ -212,10 +215,9 @@ def build_capacity(spec: InfoSpec) -> Capacity:
         values = [ZERO] * top + [ONE]
     elif isinstance(spec, Contamination):
         eps = spec.epsilon
+        keep = 1 - eps
         focal = mass_table(_on_carrier(spec.rho_hat.weights, carrier))
-        values = [
-            (1 - eps) * focal[t] + eps * (1 if t == top else 0) for t in range(top + 1)
-        ]
+        values = [keep * focal[t] + eps * (1 if t == top else 0) for t in range(top + 1)]
     elif isinstance(spec, VariationNeighborhood):
         eps = spec.epsilon
         exact = spec.reference.is_exact and not isinstance(eps, float)

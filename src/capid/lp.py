@@ -47,7 +47,6 @@ Points and objective values come back as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
@@ -62,11 +61,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: Optional[tuple[Fraction, ...]]
-    objective: Optional[Fraction]
+    def __init__(
+        self, status: str, x: Optional[tuple[Fraction, ...]], objective: Optional[Fraction]
+    ) -> None:
+        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.x = x
+        self.objective = objective
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.x, self.objective) == (other.status, other.x, other.objective)
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.x, self.objective))
+
+    def __repr__(self) -> str:
+        return f"LpResult(status={self.status!r}, x={self.x!r}, objective={self.objective!r})"
 
 
 def _int_row(values: Row) -> list[int]:

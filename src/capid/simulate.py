@@ -9,7 +9,6 @@ identification engine without reusing any of its code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,11 +20,11 @@ from .info_specs import InfoSpec, build_capacity
 PRNG_ID = "python-random-mersenne-twister"
 
 
-@dataclass(frozen=True)
 class PreferenceOrder:
     """Strict ranking over all alternatives, best first."""
 
-    ranking: tuple[Label, ...]
+    def __init__(self, ranking: tuple[Label, ...]) -> None:
+        self.ranking = ranking
 
     def name(self) -> str:
         return "pref:" + ">".join(str(l) for l in self.ranking)
@@ -48,11 +47,11 @@ def rules_from_preferences(
     return out
 
 
-@dataclass(frozen=True)
 class SynthResult:
-    lam: Measure
-    rho_by_rule: dict[str, Measure]
-    metadata: dict
+    def __init__(self, lam: Measure, rho_by_rule: dict[str, Measure], metadata: dict) -> None:
+        self.lam = lam
+        self.rho_by_rule = rho_by_rule
+        self.metadata = metadata
 
 
 def synth_population(

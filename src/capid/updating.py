@@ -17,7 +17,6 @@ the data deviates from pure-noise-free updating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,7 +30,6 @@ from .identification import Verdict, dominance_verdict
 from .numeric import Num, ge, tol_for
 
 
-@dataclass(frozen=True)
 class OddsGrid:
     """Finite grid of log-odds values with a designated prior point.
 
@@ -40,9 +38,10 @@ class OddsGrid:
     index-aligned, so subset masks transfer between them unchanged.
     """
 
-    ground: GroundSet
-    prior: Num
-    shifted: GroundSet
+    def __init__(self, ground: GroundSet, prior: Num, shifted: GroundSet) -> None:
+        self.ground = ground
+        self.prior = prior
+        self.shifted = shifted
 
     @classmethod
     def from_values(cls, values: Sequence[Num], prior: Num) -> "OddsGrid":
@@ -61,7 +60,6 @@ class OddsGrid:
         return self.shifted.index(self.prior - self.prior)
 
 
-@dataclass(frozen=True)
 class ExperimentModel:
     """Admissible experiments as the core of a convex capacity on signals.
 
@@ -72,9 +70,13 @@ class ExperimentModel:
     one, i.e. with nu(X minus {0}) = 0, is rejected.
     """
 
-    grid: OddsGrid
-    nu: Capacity
+    def __init__(self, grid: OddsGrid, nu: Capacity) -> None:
+        self.grid = grid
+        self.nu = nu
+        self.__post_init__()
 
+    # the checks stay a method of their own: perfbench/tracing.py times the
+    # experiment-model layer under this name
     def __post_init__(self) -> None:
         if self.nu.ground != self.grid.shifted:
             raise ValidationError("experiment capacity must live on the shifted grid")
@@ -98,14 +100,12 @@ class ExperimentModel:
         return -null / (1 - null)
 
 
-@dataclass(frozen=True)
 class KappaRange:
     """Admissible bias interval, clipped to [model floor, 1]."""
 
-    lo: Num
-    hi: Num
-
-    def __post_init__(self) -> None:
+    def __init__(self, lo: Num, hi: Num) -> None:
+        self.lo = lo
+        self.hi = hi
         if self.lo > self.hi:
             raise ValidationError("empty kappa range")
         if self.hi > 1:
@@ -155,7 +155,6 @@ def check_average_bias(
     return dominance_verdict(lam, [nu_k], [Fraction(1)])
 
 
-@dataclass(frozen=True)
 class KappaSolution:
     """Exact interval of rationalizing average biases plus a diagnosis.
 
@@ -166,12 +165,21 @@ class KappaSolution:
     prior belongs to the subset.
     """
 
-    empty: bool
-    lo: Optional[Num]
-    hi: Optional[Num]
-    diagnosis: str
-    under_witnesses: tuple[int, ...]
-    over_witnesses: tuple[int, ...]
+    def __init__(
+        self,
+        empty: bool,
+        lo: Optional[Num],
+        hi: Optional[Num],
+        diagnosis: str,
+        under_witnesses: tuple[int, ...],
+        over_witnesses: tuple[int, ...],
+    ) -> None:
+        self.empty = empty
+        self.lo = lo
+        self.hi = hi
+        self.diagnosis = diagnosis
+        self.under_witnesses = under_witnesses
+        self.over_witnesses = over_witnesses
 
 
 def rationalizing_kappa_interval(
