@@ -26,10 +26,12 @@ is convex, and ``is_convex`` scans any other capacity at most once.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import product
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
@@ -112,8 +114,40 @@ def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
     return tuple(map(small.__getitem__, _spread_index(carrier, n)))
 
 
-class GroundSet:
+class Record:
+    """Equality, hashing and a dataclass-format repr over a record's fields:
+    the names in ``_fields``, or the whole instance ``__dict__`` when
+    ``_fields`` is None.  A class with cached properties, whose values sit
+    in the ``__dict__`` too, names its fields."""
+
+    _fields: Optional[tuple[str, ...]] = None
+
+    def _values(self) -> tuple:
+        if self._fields is None:
+            return tuple(vars(self).values())
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            # what comparing the fields gives: tuples match items by identity first
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        names = vars(self) if self._fields is None else self._fields
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({fields})"
+
+
+class GroundSet(Record):
     """Ordered finite set of alternatives; subsets are bitmasks over it."""
+
+    _fields = ("labels",)
 
     def __init__(self, labels: tuple[Label, ...]) -> None:
         self.labels = labels
@@ -126,17 +160,6 @@ class GroundSet:
                 f"ground set of size {len(self.labels)} exceeds the cap "
                 f"{_max_ground_size()} (set CAPID_MAX_N to override)"
             )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
-    def __repr__(self) -> str:
-        return f"GroundSet(labels={self.labels!r})"
 
     @classmethod
     def of(cls, labels: Iterable[Label]) -> "GroundSet":
@@ -184,12 +207,14 @@ class GroundSet:
         return ",".join(str(l) for l in self.labels_of(mask))
 
 
-class Measure:
+class Measure(Record):
     """Probability measure on a ground set, optionally confined to a carrier.
 
     The constructor validates the weights, as every measure read from a
     document needs; ``_derived`` builds one that capid derived itself.
     """
+
+    _fields = ("ground", "weights", "carrier")
 
     def __init__(
         self, ground: GroundSet, weights: tuple[Num, ...], carrier: Optional[int] = None
@@ -215,22 +240,6 @@ class Measure:
             for i, w in enumerate(self.weights):
                 if not self.carrier >> i & 1 and not eq(w, 0, tol):
                     raise ValidationError("measure puts mass outside its carrier")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ground, self.weights, self.carrier) == (
-            other.ground, other.weights, other.carrier
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.weights, self.carrier))
-
-    def __repr__(self) -> str:
-        return (
-            f"Measure(ground={self.ground!r}, weights={self.weights!r}, "
-            f"carrier={self.carrier!r})"
-        )
 
     @classmethod
     def _derived(
@@ -281,20 +290,8 @@ class Measure:
         weights = tuple(w if mask >> i & 1 else Fraction(0) for i in range(ground.size))
         return cls(ground, weights, mask)
 
-    @classmethod
-    def from_mapping(
-        cls,
-        ground: GroundSet,
-        mapping: Mapping[Label, Num],
-        carrier: Optional[int] = None,
-    ) -> "Measure":
-        weights = [Fraction(0)] * ground.size
-        for label, value in mapping.items():
-            weights[ground.index(label)] = value
-        return cls(ground, tuple(weights), carrier)
 
-
-class Capacity:
+class Capacity(Record):
     """Monotone set function with nu(empty)=0 and nu(X)=1, dense over bitmasks.
 
     When a carrier C is attached the capacity satisfies nu(K) = nu(K & C) for
@@ -303,6 +300,8 @@ class Capacity:
     The constructor validates all of that, as every capacity read from a
     document needs; ``_derived`` builds one that holds by construction.
     """
+
+    _fields = ("ground", "values", "carrier")
 
     def __init__(
         self, ground: GroundSet, values: tuple[Num, ...], carrier: Optional[int] = None
@@ -339,31 +338,8 @@ class Capacity:
                         f"capacity not monotone at {self.ground.subset_key(mask)} "
                         f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
                     )
-        # values spread from the carrier's subsets pass at once, on identity
-        # when they share objects; the toleranced comparison runs only when
-        # some value differs from its spread
-        if self.carrier is not None and values != spread(
-            [values[mask] for mask in masks], active, n
-        ):
-            for mask in range(1 << n):
-                if not eq(values[mask], values[mask & active], tol):
-                    raise ValidationError("capacity is not constant across its carrier")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ground, self.values, self.carrier) == (
-            other.ground, other.values, other.carrier
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.values, self.carrier))
-
-    def __repr__(self) -> str:
-        return (
-            f"Capacity(ground={self.ground!r}, values={self.values!r}, "
-            f"carrier={self.carrier!r})"
-        )
+        if self.carrier is not None and not self.carried_by(self.carrier):
+            raise ValidationError("capacity is not constant across its carrier")
 
     @classmethod
     def _derived(
@@ -443,6 +419,18 @@ class Capacity:
                         return False
         return True
 
+    def carried_by(self, carrier: int) -> bool:
+        """Whether nu(K) = nu(K & carrier) for every K, up to the tolerance.
+        Values spread from the carrier's subsets pass at once, on identity
+        when they share objects; the toleranced comparison runs only when
+        some value differs from its spread."""
+        values = self.values
+        small = [values[mask] for mask in carrier_masks(carrier)]
+        if values == spread(small, carrier, self.ground.size):
+            return True
+        tol = self.tol
+        return all(eq(values[mask], values[mask & carrier], tol) for mask in range(len(values)))
+
     @property
     def active(self) -> int:
         """The carrier, or the full ground set when none is attached."""
@@ -450,15 +438,6 @@ class Capacity:
 
     def value(self, mask: int) -> Num:
         return self.values[mask]
-
-    @classmethod
-    def from_measure(cls, p: Measure, carrier: Optional[int] = None) -> "Capacity":
-        values = tuple(mass_table(p.weights))
-        if carrier is None:
-            carrier = p.carrier if p.carrier is not None else p.support()
-            if carrier == 0:
-                carrier = p.ground.full_mask
-        return cls(p.ground, values, carrier)
 
 
 def is_convex(nu: Capacity) -> bool:
@@ -521,9 +500,21 @@ def core_contains(nu: Capacity, p: Measure) -> bool:
     return all(ge(pk, nuk, tol) for pk, nuk in zip(mass_table(p.weights), nu.values))
 
 
+def _cell(w: Num) -> int:
+    """The 1e-6 grid cell of a weight, centred on the multiples of 1e-6 so
+    that 0 and other round values sit well inside one cell."""
+    return math.floor(w * 1e6 + 0.5)
+
+
 def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
+    """The measures in order, without those equal to one kept before: exactly
+    in exact mode, within FLOAT_TOL in every weight otherwise.  A kept float
+    vector is filed under its weights' cells, and a new one is compared only
+    with the vectors in the cells its tolerance box touches, the box widened
+    by 2 FLOAT_TOL against rounding in the cell arithmetic."""
     exact: dict[tuple, Measure] = {}
-    fuzzy: list[Measure] = []
+    fuzzy: dict[tuple[int, ...], list[Measure]] = {}
+    reach = 3 * FLOAT_TOL
     out: list[Measure] = []
     for m in measures:
         if m.is_exact:
@@ -532,11 +523,13 @@ def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
                 exact[key] = m
                 out.append(m)
         else:
+            spans = [range(_cell(w - reach), _cell(w + reach) + 1) for w in m.weights]
             if not any(
                 all(eq(a, b, FLOAT_TOL) for a, b in zip(m.weights, kept.weights))
-                for kept in fuzzy
+                for cell in product(*spans)
+                for kept in fuzzy.get(cell, ())
             ):
-                fuzzy.append(m)
+                fuzzy.setdefault(tuple(map(_cell, m.weights)), []).append(m)
                 out.append(m)
     return out
 

@@ -85,6 +85,15 @@ def _require_q(args, problem, exact):
     return schemas.parse_q(raw, problem, exact)
 
 
+def _menu_weights_json(collection, pi):
+    """A measure over menus as ``{menu key: weight}``, without its zeros."""
+    return {
+        collection.ground.subset_key(menu): format_number(w)
+        for menu, w in zip(collection.menus, pi.weights)
+        if w != 0
+    }
+
+
 def _cmd_check(args, doc, exact):
     bundle = schemas.parse_problem(doc, exact)
     q = _require_q(args, bundle.problem, exact)
@@ -159,11 +168,7 @@ def _cmd_witness(args, doc, exact):
         if rule is None or collection is None:
             continue
         pi = construct_menu_measures({rid: rho}, [rule], collection)[rid]
-        menu_measures[rid] = {
-            collection.ground.subset_key(menu): format_number(pi.weights[j])
-            for j, menu in enumerate(collection.menus)
-            if pi.weights[j] != 0
-        }
+        menu_measures[rid] = _menu_weights_json(collection, pi)
     if menu_measures:
         result["menu_measures"] = menu_measures
     return result
@@ -189,11 +194,7 @@ def _cmd_menu_homog(args, doc, exact):
         "pi": None,
     }
     if pi is not None:
-        result["pi"] = {
-            collection.ground.subset_key(menu): format_number(pi.weights[j])
-            for j, menu in enumerate(collection.menus)
-            if pi.weights[j] != 0
-        }
+        result["pi"] = _menu_weights_json(collection, pi)
     return result
 
 
@@ -295,14 +296,8 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _error_report(command: str, mode: str, digest: Optional[str], exc: Exception) -> str:
-    payload = {
-        "schema": schemas.SCHEMA_ID,
-        "command": command,
-        "mode": mode,
-        "input_digest": digest,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    return schemas.dump_report(schemas.report(command, mode, digest, error=error))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -337,18 +332,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         traceback.print_exc()
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
         return 4
-    if args.command == "simulate":
-        # the simulate report is itself a problem document consumable by the
-        # identification commands; keep its report fields alongside
-        report = {
-            "schema": schemas.SCHEMA_ID,
-            "command": args.command,
-            "mode": args.mode,
-            "input_digest": digest,
-            **result,
-        }
-    else:
-        report = schemas.report(args.command, args.mode, digest, result)
+    # the simulate report is itself a problem document consumable by the
+    # identification commands; its report fields sit alongside
+    fields = result if args.command == "simulate" else {"result": result}
+    report = schemas.report(args.command, args.mode, digest, **fields)
     _write(schemas.dump_report(report), args.output)
     return 0
 

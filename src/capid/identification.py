@@ -100,10 +100,7 @@ class DecisionRule:
 def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
     """Mask of all alternatives the rule can produce across the collection."""
     rule.validate_on(collection)
-    mask = 0
-    for choice in rule.choices:
-        mask |= collection.ground.singleton(choice)
-    return mask
+    return collection.ground.mask_of(rule.choices)
 
 
 class ProblemRule:
@@ -118,19 +115,10 @@ class ProblemRule:
             raise ValidationError(
                 f"rule {self.rule_id!r}: capacity carrier exceeds the declared carrier"
             )
-        if cap_carrier is None and self.carrier != self.capacity.ground.full_mask:
-            # the capacity must actually be cylindrical over the declared carrier
-            tol = self.capacity.tol
-            for mask in self.capacity.ground.masks():
-                if not eq(
-                    self.capacity.values[mask],
-                    self.capacity.values[mask & self.carrier],
-                    tol,
-                ):
-                    raise ValidationError(
-                        f"rule {self.rule_id!r}: capacity is not carried by the "
-                        "declared carrier"
-                    )
+        if cap_carrier is None and not self.capacity.carried_by(self.carrier):
+            raise ValidationError(
+                f"rule {self.rule_id!r}: capacity is not carried by the declared carrier"
+            )
 
 
 class IdentificationProblem:

@@ -42,16 +42,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .capacity import Capacity, GroundSet, Measure, is_convex, mass_table, submasks
+from .capacity import Capacity, GroundSet, Measure, Record, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
 from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
 
 
-class InfoSpec:
+class InfoSpec(Record):
     """Common shape: a ground set and a carrier mask.
 
     A specification's fields are its whole instance ``__dict__``, set in
-    constructor order, so equality, hashing and repr read them from there.
+    constructor order, so ``Record`` reads them from there.
     """
 
     def __init__(self, ground: GroundSet, carrier: int) -> None:
@@ -61,18 +61,6 @@ class InfoSpec:
             raise ValidationError("carrier must be nonempty")
         if self.carrier > self.ground.full_mask:
             raise ValidationError("carrier is not a subset of the ground set")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple(vars(self).values()) == tuple(vars(other).values())
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
 
     @property
     def tag(self) -> str:
@@ -205,7 +193,7 @@ def build_capacity(spec: InfoSpec) -> Capacity:
     K & C is t.  Entry t of a restricted table adds the same weights in the
     same order as the full table's entry at t's mask, so the values are
     those of the per-mask formula, bit for bit.  A point mass keeps the
-    measure's sums at every mask, as ``Capacity.from_measure`` does: an
+    measure's sums at every mask, ``mass_table`` of its weights: an
     off-carrier mask holds its own sum (the float 0.0 at a mask that misses
     the carrier, where the carrier table holds the int 0).
     """

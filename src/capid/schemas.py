@@ -86,26 +86,35 @@ def _ground_key_map(ground: GroundSet) -> dict[str, Label]:
     return {str(label_key(l)): l for l in ground.labels}
 
 
+def _vector(
+    obj, ground: GroundSet, exact: bool, what: str = "vector", item: str = "value"
+) -> tuple[Num, ...]:
+    """A ``{label: number}`` object as a vector over the ground set; labels
+    it omits get 0."""
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"a {what} must be a {{label: {item}}} object")
+    keys = _ground_key_map(ground)
+    vec = [Fraction(0) if exact else 0.0] * ground.size
+    for key, raw in obj.items():
+        if key not in keys:
+            raise ValidationError(f"{what} mentions unknown label {key!r}")
+        vec[ground.index(keys[key])] = parse_number(raw, exact)
+    return tuple(vec)
+
+
+def _vector_json(ground: GroundSet, vec: Sequence[Num]) -> dict[str, Any]:
+    """The ``{label: number}`` object of a vector, without its zeros."""
+    return {str(label_key(l)): format_number(v) for l, v in zip(ground.labels, vec) if v != 0}
+
+
 def parse_measure(
     obj, ground: GroundSet, exact: bool, carrier: Optional[int] = None
 ) -> Measure:
-    if not isinstance(obj, Mapping):
-        raise ValidationError("a measure must be a {label: weight} object")
-    keys = _ground_key_map(ground)
-    weights = [Fraction(0) if exact else 0.0] * ground.size
-    for key, raw in obj.items():
-        if key not in keys:
-            raise ValidationError(f"measure mentions unknown label {key!r}")
-        weights[ground.index(keys[key])] = parse_number(raw, exact)
-    return Measure(ground, tuple(weights), carrier)
+    return Measure(ground, _vector(obj, ground, exact, "measure", "weight"), carrier)
 
 
 def measure_json(m: Measure) -> dict[str, Any]:
-    return {
-        str(label_key(label)): format_number(m.weights[i])
-        for i, label in enumerate(m.ground.labels)
-        if m.weights[i] != 0
-    }
+    return _vector_json(m.ground, m.weights)
 
 
 def parse_capacity(
@@ -201,18 +210,6 @@ def parse_info_spec(
     raise ValidationError(f"unknown info_spec tag {tag!r}")
 
 
-def _vector(obj, ground: GroundSet, exact: bool) -> tuple[Num, ...]:
-    if not isinstance(obj, Mapping):
-        raise ValidationError("a vector must be a {label: value} object")
-    keys = _ground_key_map(ground)
-    vec = [Fraction(0) if exact else 0.0] * ground.size
-    for key, raw in obj.items():
-        if key not in keys:
-            raise ValidationError(f"vector mentions unknown label {key!r}")
-        vec[ground.index(keys[key])] = parse_number(raw, exact)
-    return tuple(vec)
-
-
 def info_spec_json(spec: InfoSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "tag": spec.tag,
@@ -230,16 +227,8 @@ def info_spec_json(spec: InfoSpec) -> dict[str, Any]:
         }
     elif isinstance(spec, IntervalBelief):
         out["params"] = {
-            "lower": {
-                str(label_key(l)): format_number(v)
-                for l, v in zip(spec.ground.labels, spec.lower)
-                if v != 0
-            },
-            "upper": {
-                str(label_key(l)): format_number(v)
-                for l, v in zip(spec.ground.labels, spec.upper)
-                if v != 0
-            },
+            "lower": _vector_json(spec.ground, spec.lower),
+            "upper": _vector_json(spec.ground, spec.upper),
         }
     elif isinstance(spec, ExplicitCapacity):
         out["params"] = {"capacity": capacity_json(spec.nu)}
@@ -350,17 +339,20 @@ def parse_problem(obj, exact: bool) -> ProblemBundle:
     return ProblemBundle(problem, decision_rules, collections)
 
 
-def parse_q(raw_obj, problem: IdentificationProblem, exact: bool) -> Measure:
-    if not isinstance(raw_obj, Mapping):
-        raise ValidationError("Q must be a {rule-id: weight} object")
-    ids = {r.rule_id for r in problem.rules}
-    unknown = set(raw_obj) - ids
+def _rule_weights(obj, ids: tuple[str, ...], exact: bool, name: str) -> Measure:
+    """A ``{rule-id: weight}`` object as a measure over the rule ids; rules it
+    omits get weight 0, and an id that names no rule is an error."""
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"{name} must be a {{rule-id: weight}} object")
+    unknown = set(obj) - set(ids)
     if unknown:
-        raise ValidationError(f"Q mentions unknown rules {sorted(unknown)!r}")
-    weights = tuple(
-        parse_number(raw_obj.get(r.rule_id, 0), exact) for r in problem.rules
-    )
-    return Measure(problem.rule_ground(), weights)
+        raise ValidationError(f"{name} mentions unknown rules {sorted(unknown)!r}")
+    weights = tuple(parse_number(obj.get(rid, 0), exact) for rid in ids)
+    return Measure(GroundSet(ids), weights)
+
+
+def parse_q(raw_obj, problem: IdentificationProblem, exact: bool) -> Measure:
+    return _rule_weights(raw_obj, tuple(r.rule_id for r in problem.rules), exact, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +392,7 @@ def parse_simulation(obj, exact: bool):
     check_schema(obj)
     ground = parse_ground(_require(obj, "labels"))
     entries = [(rid, spec, entry) for entry, rid, spec, _, _ in _parse_rules(obj, ground, exact)]
-    q_obj = _require(obj, "q")
-    if not isinstance(q_obj, Mapping):
-        raise ValidationError("q must be a {rule-id: weight} object")
-    rule_ground = GroundSet(tuple(rid for rid, _, _ in entries))
-    weights = tuple(parse_number(q_obj.get(rid, 0), exact) for rid, _, _ in entries)
-    q = Measure(rule_ground, weights)
+    q = _rule_weights(_require(obj, "q"), tuple(rid for rid, _, _ in entries), exact, "q")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
@@ -452,13 +439,15 @@ def q_json(q: Measure) -> dict[str, Any]:
     }
 
 
-def report(command: str, mode: str, digest: str, result: dict[str, Any]) -> dict[str, Any]:
+def report(command: str, mode: str, digest: Optional[str], **fields: Any) -> dict[str, Any]:
+    """The report envelope, followed by ``fields``: a ``result`` or an
+    ``error``, or the problem-document fields of a ``simulate`` report."""
     return {
         "schema": SCHEMA_ID,
         "command": command,
         "mode": mode,
         "input_digest": digest,
-        "result": result,
+        **fields,
     }
 
 

@@ -4,7 +4,8 @@
 Each function follows its textbook definition with no shortcut: convexity
 over every pair of subsets, monotonicity over every subset and label, Moebius
 masses by inclusion-exclusion over every subset of every subset, core
-vertices as the marginal vectors of every ordering, the experiment model's
+vertices as the marginal vectors of every ordering (float duplicates found
+by comparing each vector with every kept one), the experiment model's
 kappa floor and pure-noise test by walking those vertices, lower envelopes by
 a minimum over the measures at every subset, and the specification
 capacities by their formulas at every subset, with the reference vectors
@@ -14,12 +15,12 @@ summed anew each time.
 from fractions import Fraction
 from itertools import permutations
 
-from capid.capacity import Capacity, Measure, _dedupe_measures, is_convex, submasks
+from capid.capacity import Capacity, Measure, is_convex, submasks
 from capid.errors import NotConvexError, ValidationError
 from capid.info_specs import (
     Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
 )
-from capid.numeric import Num, eq, ge
+from capid.numeric import FLOAT_TOL, Num, as_fraction, eq, ge
 
 
 def brute_force_convex(nu):
@@ -96,7 +97,30 @@ def literal_core_vertices(nu):
             weights[i] = cur - prev
             prev = cur
         vertices.append(Measure(ground, tuple(weights), active))
-    return tuple(_dedupe_measures(vertices))
+    return tuple(quadratic_dedupe_measures(vertices))
+
+
+def quadratic_dedupe_measures(measures):
+    """The measures in order, without those equal to one kept before: exactly
+    in exact mode, within FLOAT_TOL in every weight otherwise, where each new
+    vector is compared with every kept one."""
+    exact = {}
+    fuzzy = []
+    out = []
+    for m in measures:
+        if m.is_exact:
+            key = tuple(as_fraction(w) for w in m.weights)
+            if key not in exact:
+                exact[key] = m
+                out.append(m)
+        else:
+            if not any(
+                all(eq(a, b, FLOAT_TOL) for a, b in zip(m.weights, kept.weights))
+                for kept in fuzzy
+            ):
+                fuzzy.append(m)
+                out.append(m)
+    return out
 
 
 def vertex_kappa_facts(grid, nu):
@@ -175,7 +199,9 @@ def literal_build_capacity(spec):
 
 
 def literal_from_measure(p, carrier=None):
-    """``Capacity.from_measure`` with p(K) summed anew for every subset K."""
+    """The additive capacity of a measure, p(K) summed anew for every subset
+    K, carried by the measure's carrier, else by its support, else by the
+    whole ground set."""
     values = tuple(p.mass(mask) for mask in p.ground.masks())
     if carrier is None:
         carrier = p.carrier if p.carrier is not None else p.support()

@@ -13,7 +13,7 @@ import pytest
 
 import gen
 import oracle
-from capacity_oracle import lower_probability
+from capacity_oracle import literal_from_measure, lower_probability
 from capid import GroundSet, Measure, core_contains, core_vertices, is_belief_function, is_convex, mixture, decompose_in_mixture_core, Capacity
 from capid.identification import (
     IdentificationProblem,
@@ -291,7 +291,7 @@ def test_acceptance_6_updating_reduction():
     # derived instance: singleton experiment set, data half-pooled on the prior
     grid = OddsGrid.from_values((F(-1), F(0), F(1)), F(0))
     e_star = Measure(grid.shifted, (F(1, 2), F(0), F(1, 2)))
-    model = ExperimentModel(grid, Capacity.from_measure(e_star, grid.shifted.full_mask))
+    model = ExperimentModel(grid, literal_from_measure(e_star, grid.shifted.full_mask))
     lam = Measure(grid.ground, (F(1, 4), F(1, 2), F(1, 4)))
     solution = rationalizing_kappa_interval(lam, model, grid)
     assert (solution.lo, solution.hi) == (F(1, 2), F(1, 2))

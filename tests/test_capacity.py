@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_oracle import brute_force_convex, lower_probability
+from capacity_oracle import brute_force_convex, literal_from_measure, lower_probability
 from capid import (
     Capacity,
     GroundSet,
@@ -137,7 +137,7 @@ class TestCapacityValidation:
 
 class TestIsConvex:
     def test_probability_measure_is_convex(self):
-        nu = Capacity.from_measure(meas(ABC, "1/2", "1/4", "1/4"))
+        nu = literal_from_measure(meas(ABC, "1/2", "1/4", "1/4"))
         assert is_convex(nu) is True
 
     def test_cardinality_capacity_is_convex(self):
@@ -165,7 +165,7 @@ class TestMobius:
 
     def test_probability_measure_masses_on_singletons(self):
         p = meas(ABC, "1/2", "1/3", "1/6")
-        mass = mobius(Capacity.from_measure(p))
+        mass = mobius(literal_from_measure(p))
         for mask in ABC.masks():
             if mask.bit_count() == 1:
                 assert mass[mask] == p.mass(mask)
@@ -211,7 +211,7 @@ class TestIsBeliefFunction:
 class TestCoreContains:
     def test_measure_core_is_singleton(self):
         p = meas(AB, "3/5", "2/5")
-        nu = Capacity.from_measure(p)
+        nu = literal_from_measure(p)
         assert core_contains(nu, p) is True
         assert core_contains(nu, meas(AB, "2/5", "3/5")) is False
 
@@ -233,7 +233,7 @@ class TestCoreVertices:
 
     def test_measure_core_vertex(self):
         p = meas(AB, "3/5", "2/5")
-        vs = core_vertices(Capacity.from_measure(p))
+        vs = core_vertices(literal_from_measure(p))
         assert len(vs) == 1 and vs[0].weights == p.weights
 
     def test_contamination_two_vertices(self):
@@ -261,7 +261,7 @@ class TestLowerProbability:
 
     def test_single_measure_round_trip(self):
         p = meas(AB, "3/5", "2/5")
-        assert lower_probability([p], AB).values == Capacity.from_measure(p).values
+        assert lower_probability([p], AB).values == literal_from_measure(p).values
 
     def test_min_per_subset(self):
         vs = [meas(AB, "1/4", "3/4"), meas(AB, "3/4", "1/4")]
@@ -288,15 +288,15 @@ class TestMixture:
         p, q = meas(AB, "3/5", "2/5"), meas(AB, "1/5", "4/5")
         alpha = F(1, 4)
         mixed = mixture(
-            [Capacity.from_measure(p), Capacity.from_measure(q)], [alpha, 1 - alpha]
+            [literal_from_measure(p), literal_from_measure(q)], [alpha, 1 - alpha]
         )
         expect = Measure(AB, (alpha * p.weights[0] + (1 - alpha) * q.weights[0],
                               alpha * p.weights[1] + (1 - alpha) * q.weights[1]))
-        assert mixed.values == Capacity.from_measure(expect).values
+        assert mixed.values == literal_from_measure(expect).values
 
     def test_half_ignorance_half_point(self):
         mixed = mixture(
-            [ignorance(AB, "ab"), Capacity.from_measure(Measure.point(AB, "a"))],
+            [ignorance(AB, "ab"), literal_from_measure(Measure.point(AB, "a"))],
             [F(1, 2), F(1, 2)],
         )
         assert mixed.value(AB.mask_of("a")) == F(1, 2)
@@ -315,7 +315,7 @@ class TestDecomposeInMixtureCore:
         assert out is not None and out[0].weights == p.weights
 
     def test_point_and_ignorance_on_point(self):
-        delta_a = Capacity.from_measure(Measure.point(AB, "a"))
+        delta_a = literal_from_measure(Measure.point(AB, "a"))
         ign_a = ignorance(AB, "a")
         out = decompose_in_mixture_core(
             Measure.point(AB, "a"), [delta_a, ign_a], [F(1, 2), F(1, 2)]
@@ -334,7 +334,7 @@ class TestDecomposeInMixtureCore:
         assert out[1].weights == (F(0), F(0), F(1))
 
     def test_none_outside_mixture_core(self):
-        delta_a = Capacity.from_measure(Measure.point(AB, "a"))
+        delta_a = literal_from_measure(Measure.point(AB, "a"))
         out = decompose_in_mixture_core(
             Measure.point(AB, "b"), [delta_a, delta_a], [F(1, 2), F(1, 2)]
         )
@@ -368,10 +368,10 @@ class TestPushforward:
     MENUS = GroundSet.of(["m0", "m1", "m2", "m3"])
 
     def test_point_mass_maps_to_point_mass(self):
-        psi = Capacity.from_measure(Measure.point(self.MENUS, "m1"))
+        psi = literal_from_measure(Measure.point(self.MENUS, "m1"))
         choice = {"m0": "a", "m1": "b", "m2": "c", "m3": "a"}
         nu = pushforward(psi, choice, ABC)
-        assert nu.values == Capacity.from_measure(Measure.point(ABC, "b")).values
+        assert nu.values == literal_from_measure(Measure.point(ABC, "b")).values
 
     def test_ignorance_maps_to_ignorance_over_range(self):
         # an a-first maximizer on the four menus of size >= 2 reaches {a,b}

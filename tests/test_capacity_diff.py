@@ -18,6 +18,8 @@ from capacity_oracle import (
     brute_force_convex,
     inclusion_exclusion,
     literal_core_vertices,
+    literal_from_measure,
+    quadratic_dedupe_measures,
     subset_sums,
     valid_capacity,
     vertex_kappa_facts,
@@ -35,7 +37,9 @@ from capid import (
     decompose_in_mixture_core,
     mobius,
 )
-from capid.capacity import _moebius, carrier_masks, is_belief_function, is_convex
+from capid.capacity import (
+    _dedupe_measures, _moebius, carrier_masks, is_belief_function, is_convex,
+)
 from capid.updating import ExperimentModel, OddsGrid
 
 LABELS = "abcdef"
@@ -277,7 +281,7 @@ class TestCoreVertices:
         ground = GroundSet.of([f"x{i}" for i in range(9)])
         strict = Capacity(ground, tuple(F(m.bit_count() ** 2, 81) for m in ground.masks()))
         p = Measure.point(ground, "x0")
-        parts = decompose_in_mixture_core(p, [Capacity.from_measure(p), strict], [F(1), F(0)])
+        parts = decompose_in_mixture_core(p, [literal_from_measure(p), strict], [F(1), F(0)])
         assert parts[1].weights == identity_order_vertex(strict)
 
     def test_equal_exact_and_float_vectors_both_survive(self):
@@ -289,6 +293,39 @@ class TestCoreVertices:
         assert [typed(v.weights) for v in core_vertices(nu)] == [
             typed(v.weights) for v in expected
         ]
+
+    def test_float_dedupe_matches_the_quadratic_loop(self):
+        # copies of a few base vectors, moved on random weights by offsets on
+        # both sides of FLOAT_TOL; some bases sit on a 1e-6 cell boundary,
+        # and some keep a Fraction weight
+        rng = random.Random(1974)
+        offsets = (0.0, 1e-16, -1e-16, 9.9e-10, -9.9e-10, 1.01e-9, -1.01e-9, 2e-9, 1e-7)
+        merged = near = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            ground = GroundSet.of(LABELS[:n])
+            bases = [
+                [
+                    rng.choice((0.0, 0.5, F(1, 3), (rng.randrange(10) + 0.5) * 1e-6, rng.random()))
+                    for _ in range(n)
+                ]
+                for _ in range(rng.randint(1, 4))
+            ]
+            measures = []
+            for _ in range(rng.randint(1, 40)):
+                weights = list(rng.choice(bases))
+                for i in rng.sample(range(n), rng.randint(0, n)):
+                    weights[i] += rng.choice(offsets)
+                measures.append(Measure._derived(ground, tuple(weights)))
+            got = _dedupe_measures(measures)
+            assert [id(m) for m in got] == [id(m) for m in quadratic_dedupe_measures(measures)]
+            merged += len(got) < len(measures)
+            near += any(
+                a is not b and a.weights != b.weights
+                and all(abs(x - y) <= 1e-7 for x, y in zip(a.weights, b.weights))
+                for a in got for b in got
+            )
+        assert merged >= 200 and near >= 100
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -248,6 +249,23 @@ class TestCapacityAudit:
         assert result["convex"] is True and result["belief_function"] is True
         assert result["core_vertex_count"] == 2 * 3 * 3 * 4
 
+    def test_float_strictly_convex_seven_labels(self, capsys, tmp_path):
+        # all 7! orderings give distinct float vertices; each is compared for
+        # duplicates only with the kept vectors near it, not with all of them
+        path = tmp_path / "audit.json"
+        labels = list("abcdefg")
+        ground = GroundSet.of(labels)
+        values = {ground.subset_key(m): (m.bit_count() / 7) ** 2 for m in ground.masks()}
+        path.write_text(json.dumps(
+            {"schema": "capid/1", "capacity": {"labels": labels, "values": values}}
+        ))
+        start = time.perf_counter()
+        code, report = run(capsys, "capacity-audit", "--input", str(path), "--mode", "float")
+        took = time.perf_counter() - start
+        assert code == 0
+        assert report["result"]["core_vertex_count"] == 5040
+        assert took < 5
+
     def test_not_convex(self, capsys, tmp_path):
         ground = GroundSet.of("abc")
         nu = Capacity(ground, (F(0), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1)))
@@ -355,6 +373,16 @@ class TestSimulate:
         assert main(["simulate", "--input", SIMULATE, "--output", str(b), "--seed", "2"]) == 0
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         assert da["synthesis"]["seed"] == 1 and db["synthesis"]["seed"] == 2
+
+    def test_unknown_rule_in_q_exits_2(self, capsys, tmp_path):
+        doc = json.loads(Path(SIMULATE).read_text())
+        doc["q"]["typo"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, report = run(capsys, "simulate", "--input", str(bad))
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+        assert "'typo'" in report["error"]["message"]
 
 
 class TestDeterminismAndErrors:

@@ -21,6 +21,7 @@ from capid.updating import (
     check_average_bias,
     rationalizing_kappa_interval,
 )
+from capacity_oracle import literal_from_measure
 from helpers import apply_update_rule, average_bias, bayes_posterior
 
 GRID = OddsGrid.from_values((F(-1), F(0), F(1)), F(0))
@@ -29,7 +30,7 @@ GRID = OddsGrid.from_values((F(-1), F(0), F(1)), F(0))
 def point_experiment_model(weights=(F(1, 2), F(0), F(1, 2))):
     """Singleton experiment set: only E* = weights is admissible."""
     e_star = Measure(GRID.shifted, weights)
-    return ExperimentModel(GRID, Capacity.from_measure(e_star, GRID.shifted.full_mask))
+    return ExperimentModel(GRID, literal_from_measure(e_star, GRID.shifted.full_mask))
 
 
 class TestOddsGrid:
@@ -93,7 +94,7 @@ class TestExperimentModel:
     def test_rejects_pure_noise_vertex(self):
         noise = Measure.point(GRID.shifted, F(0))
         with pytest.raises(ValidationError):
-            ExperimentModel(GRID, Capacity.from_measure(noise, GRID.shifted.full_mask))
+            ExperimentModel(GRID, literal_from_measure(noise, GRID.shifted.full_mask))
 
     def test_rejects_non_convex(self):
         values = tuple(
@@ -106,7 +107,7 @@ class TestExperimentModel:
     def test_kappa_floor_from_null_mass(self):
         two = OddsGrid.from_values((F(0), F(1)), F(0))
         e = Measure(two.shifted, (F(1, 2), F(1, 2)))
-        model = ExperimentModel(two, Capacity.from_measure(e, two.shifted.full_mask))
+        model = ExperimentModel(two, literal_from_measure(e, two.shifted.full_mask))
         assert model.kappa_floor == F(-1)
 
     def test_point_model_floor_is_zero(self):
@@ -122,7 +123,7 @@ class TestBiasedCapacity:
     def test_full_bias_is_prior_point_mass(self):
         model = point_experiment_model()
         nu1 = biased_capacity(F(1), model, GRID)
-        expected = Capacity.from_measure(Measure.point(GRID.ground, F(0)))
+        expected = literal_from_measure(Measure.point(GRID.ground, F(0)))
         assert nu1.values == expected.values
 
     def test_half_bias_values(self):
@@ -204,7 +205,7 @@ class TestKappaInterval:
         # mass below the floor both on a prior subset and a non-prior subset
         two = OddsGrid.from_values((F(0), F(1)), F(0))
         e = Measure(two.shifted, (F(1, 2), F(1, 2)))
-        model = ExperimentModel(two, Capacity.from_measure(e, two.shifted.full_mask))
+        model = ExperimentModel(two, literal_from_measure(e, two.shifted.full_mask))
         lam = Measure(two.ground, (F(1, 4), F(3, 4)))
         # lam({0}) = 1/4 < 1/2 with prior inside; lam({1}) = 3/4 > 1/2: push the
         # other side instead
