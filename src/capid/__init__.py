@@ -6,14 +6,10 @@ from .capacity import (
     Capacity,
     GroundSet,
     Measure,
-    capacity_from_mobius,
-    core_contains,
     core_vertices,
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
-    mixture,
-    mobius,
 )
 from .errors import (
     CapidError,
@@ -29,14 +25,10 @@ __all__ = [
     "Capacity",
     "GroundSet",
     "Measure",
-    "capacity_from_mobius",
-    "core_contains",
     "core_vertices",
     "decompose_in_mixture_core",
     "is_belief_function",
     "is_convex",
-    "mixture",
-    "mobius",
     "CapidError",
     "InfeasibleSetError",
     "NotConvexError",

@@ -9,12 +9,11 @@ capacity also keeps its values as int numerators over one denominator, on
 which the monotonicity and convexity scans, the dominance rows and the core
 rows of an exact decomposition run.
 
-The module provides the full toolkit needed downstream: convexity
-(supermodularity) testing, the Moebius inversion and the belief-function
-test, core membership, the core vertices of convex capacities as distinct
-marginal vectors built over prefix sets, and pointwise mixtures with exact
-core decomposition.  ``mass_table`` gives a vector's sums over every subset
-at once.
+The module provides the toolkit the engine needs: convexity
+(supermodularity) testing, the belief-function test on the Moebius masses,
+the core vertices of convex capacities as distinct marginal vectors built
+over prefix sets, and the exact decomposition of a member of a mixture's
+core.  ``mass_table`` gives a vector's sums over every subset at once.
 
 Capacities and measures read from a document are validated in full when
 they are constructed.  Those that capid derives from validated inputs, whose
@@ -84,12 +83,8 @@ def mass_table(weights: Sequence[Num]) -> list[Num]:
 
 def carrier_masks(active: int) -> list[int]:
     """All subsets of ``active`` in increasing order; entry t spreads the bits
-    of t over the bits of ``active``."""
-    masks = [0]
-    for i in range(active.bit_length()):
-        if active >> i & 1:
-            masks += [mask | 1 << i for mask in masks]
-    return masks
+    of t over the bits of ``active``: the subset sums of its bit values."""
+    return mass_table([1 << i for i in range(active.bit_length()) if active >> i & 1])
 
 
 def _spread_index(carrier: int, n: int) -> list[int]:
@@ -280,16 +275,6 @@ class Measure(Record):
         weights[ground.index(label)] = Fraction(1)
         return cls(ground, tuple(weights), carrier)
 
-    @classmethod
-    def uniform(cls, ground: GroundSet, mask: Optional[int] = None) -> "Measure":
-        mask = ground.full_mask if mask is None else mask
-        k = mask.bit_count()
-        if k == 0:
-            raise ValidationError("cannot spread mass over the empty set")
-        w = Fraction(1, k)
-        weights = tuple(w if mask >> i & 1 else Fraction(0) for i in range(ground.size))
-        return cls(ground, weights, mask)
-
 
 class Capacity(Record):
     """Monotone set function with nu(empty)=0 and nu(X)=1, dense over bitmasks.
@@ -447,36 +432,16 @@ def is_convex(nu: Capacity) -> bool:
     return nu._convex
 
 
-def _moebius(values: list[Num], n: int, sign: int) -> list[Num]:
-    """In-place subset-sum transform over bitmasks of n labels, O(n 2^n).
-
-    ``sign=1`` turns masses into values, f(K) = sum over J below K of m(J);
-    ``sign=-1`` inverts it, giving the Moebius masses of a set function.
-    """
+def _moebius(values: list[Num], n: int) -> list[Num]:
+    """The Moebius masses of a set function on n labels, in place, O(n 2^n):
+    mass(K) = sum over J below K of (-1)^|K\\J| f(J)."""
     size = 1 << n
     for i in range(n):
         bit = 1 << i
         for block in range(0, size, bit << 1):
             for mask in range(block | bit, block + (bit << 1)):
-                if sign > 0:
-                    values[mask] += values[mask ^ bit]
-                else:
-                    values[mask] -= values[mask ^ bit]
+                values[mask] -= values[mask ^ bit]
     return values
-
-
-def mobius(nu: Capacity) -> tuple[Num, ...]:
-    """Moebius masses: mass(K) = sum over J below K of (-1)^|K\\J| nu(J)."""
-    return tuple(_moebius(list(nu.values), nu.ground.size, -1))
-
-
-def capacity_from_mobius(
-    ground: GroundSet, mass: Sequence[Num], carrier: Optional[int] = None
-) -> Capacity:
-    """The capacity whose Moebius masses are ``mass``."""
-    if len(mass) != 1 << ground.size:
-        raise ValidationError("mass vector has wrong length")
-    return Capacity(ground, tuple(_moebius(list(mass), ground.size, 1)), carrier)
 
 
 def is_belief_function(nu: Capacity) -> bool:
@@ -488,16 +453,8 @@ def is_belief_function(nu: Capacity) -> bool:
     tol = nu.tol
     active = nu.active
     restricted = [nu.values[mask] for mask in carrier_masks(active)]
-    masses = _moebius(restricted, active.bit_count(), -1)
+    masses = _moebius(restricted, active.bit_count())
     return all(ge(m, 0, tol) for m in masses)
-
-
-def core_contains(nu: Capacity, p: Measure) -> bool:
-    """Setwise dominance p(K) >= nu(K) for every subset K."""
-    if p.ground != nu.ground:
-        raise ValidationError("measure and capacity live on different ground sets")
-    tol = tol_for(nu.values, p.weights)
-    return all(ge(pk, nuk, tol) for pk, nuk in zip(mass_table(p.weights), nu.values))
 
 
 def _cell(w: Num) -> int:
@@ -578,28 +535,6 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
                 level.setdefault(key, vector)
         tails[prefix] = list(level.values())
     return tuple(_dedupe_measures(Measure(ground, v, active) for v in tails[0]))
-
-
-def mixture(capacities: Sequence[Capacity], weights: Sequence[Num]) -> Capacity:
-    """Pointwise convex combination; preserves convexity."""
-    if not capacities or len(capacities) != len(weights):
-        raise ValidationError("mixture needs matching capacities and weights")
-    ground = capacities[0].ground
-    for c in capacities:
-        if c.ground != ground:
-            raise ValidationError("mixture components live on different ground sets")
-    tol = tol_for(weights)
-    if any(not ge(w, 0, tol) for w in weights) or not eq(fold_sum(weights), 1, tol):
-        raise ValidationError("mixture weights must be a probability vector")
-    values = tuple(
-        fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
-        for mask in ground.masks()
-    )
-    carrier = 0
-    for w, c in zip(weights, capacities):
-        if not eq(w, 0, tol):
-            carrier |= c.active
-    return Capacity(ground, values, carrier if carrier else None)
 
 
 def decompose_in_mixture_core(

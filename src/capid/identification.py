@@ -20,11 +20,11 @@ The verdicts and the LP rows all come from one source, ``_dominance_rows``.
 In exact mode its rows are ints: the capacities' values over one common
 denominator and lambda's subset sums over lambda's denominator, so the
 verdict scan compares int dot products and the LP rows are deduplicated and
-sorted as int tuples.  The kept rows reach the LP kernel as ints in its row
-form; only the shortfalls a verdict lists, and the rows of vertex
-enumeration, become Fractions.  Float mode scans the floats themselves and
-hands the LP the rows' exact Fractions, which the kernel's converter puts
-over their common denominators.
+sorted as int tuples.  The kept rows reach the LP kernel, for the simplex
+and for vertex enumeration alike, as ints in its row form; only the
+shortfalls a verdict lists become Fractions.  Float mode scans the floats
+themselves and hands the LP the rows' exact Fractions, which the kernel's
+converter puts over their common denominators.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from .capacity import (
     GroundSet,
     Label,
     Measure,
+    Record,
     decompose_in_mixture_core,
+    is_convex,
     mass_table,
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
@@ -138,8 +140,6 @@ class IdentificationProblem:
                 raise ValidationError("rule capacity lives on a different ground set")
         if self.data.ground != self.ground:
             raise ValidationError("data lives on a different ground set")
-        from .capacity import is_convex
-
         for rule in self.rules:
             if not is_convex(rule.capacity):
                 raise ValidationError(
@@ -150,7 +150,7 @@ class IdentificationProblem:
         return GroundSet(tuple(r.rule_id for r in self.rules))
 
 
-class Verdict:
+class Verdict(Record):
     """Outcome of a dominance check; ``violated`` holds (subset mask, shortfall)."""
 
     def __init__(
@@ -162,12 +162,6 @@ class Verdict:
         # capid builds every verdict, so a mismatch is its own fault
         if self.rationalizes != (self.violation_count == 0):
             raise CapidError("verdict flag inconsistent with violations")
-
-    def __repr__(self) -> str:
-        return (
-            f"Verdict(rationalizes={self.rationalizes!r}, violated={self.violated!r}, "
-            f"violation_count={self.violation_count!r})"
-        )
 
 
 def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
@@ -249,57 +243,32 @@ def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
 
 def _lp_rows(
     problem: IdentificationProblem,
-) -> tuple[Optional[tuple[int, int]], list[tuple[tuple[Num, ...], Num]]]:
-    """The row scales and the dominance rows as LP rows ``coeffs . Q <= rhs``.
+) -> tuple[bool, list[list[int]], list[tuple[int, int]]]:
+    """Whether the rows are exact, and the dominance rows ``coeffs . Q <= rhs``
+    in the LP kernel's row form, for ``exists``, ``bounds`` and ``vertices``.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
-    Rows come out sorted.  In exact mode the scales are those of
-    ``_dominance_rows``: the coefficients are ints over L and the right-hand
-    sides ints over D.  In float mode the scales are None, the rows are the
-    values' exact Fractions, and right-hand sides gain the standard
-    feasibility slack.
+    Rows come out sorted by value.  In exact mode the coefficients are
+    ``_dominance_rows``' ints over L and the right-hand sides its ints over D,
+    all put over L * D.  In float mode the rows are the values' exact
+    Fractions, right-hand sides gain the standard feasibility slack, and each
+    row goes over its least common denominator.
     """
     scales, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
     best: dict[tuple[Num, ...], Num] = {}
     for _, column, lam_k in rows:
         if any(column) and (column not in best or lam_k < best[column]):
             best[column] = lam_k
+    # ints over shared positive scales, and floats and Fractions, all compare
+    # exactly, so the rows sort as their values
+    kept = sorted(best.items())
     if scales is None:
         slack = Fraction(FLOAT_TOL)
-        return None, sorted(
-            (tuple(as_fraction(v) for v in coeffs), as_fraction(rhs) + slack)
-            for coeffs, rhs in best.items()
-        )
-    # every row is over the same positive scales, so the ints sort as the values
-    return scales, sorted(best.items())
-
-
-def _fraction_rows(
-    scales: Optional[tuple[int, int]], rows: list[tuple[tuple[Num, ...], Num]]
-) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """``_lp_rows``' rows as Fractions."""
-    if scales is None:
-        return rows
-    scale, lam_scale = scales
-    return [
-        (tuple(Fraction(v, scale) for v in coeffs), Fraction(rhs, lam_scale))
-        for coeffs, rhs in rows
-    ]
-
-
-def _lp_inequalities(
-    problem: IdentificationProblem,
-) -> tuple[bool, list[list[int]], list[tuple[int, int]]]:
-    """Exactness and ``_lp_rows``' rows in the LP kernel's row form."""
-    scales, rows = _lp_rows(problem)
-    if scales is None:
-        return False, *lp.int_rows([coeffs for coeffs, _ in rows], [rhs for _, rhs in rows])
-    # coefficients N/L and right-hand sides R/D, over L * D
+        return False, *lp.int_rows([c for c, _ in kept], [as_fraction(r) + slack for _, r in kept])
     scale, lam_scale = scales
     den = scale * lam_scale
-    a_ub = [[v * lam_scale for v in coeffs] for coeffs, _ in rows]
-    return True, a_ub, [(rhs * scale, den) for _, rhs in rows]
+    return True, [[v * lam_scale for v in c] for c, _ in kept], [(r * scale, den) for _, r in kept]
 
 
 def _measure_over_rules(
@@ -312,7 +281,7 @@ def _measure_over_rules(
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
     """Some admissible Q, or None when the identified set is empty."""
     m = len(problem.rules)
-    exact, a_ub, b_ub = _lp_inequalities(problem)
+    exact, a_ub, b_ub = _lp_rows(problem)
     point = lp.feasible_point(a_ub, b_ub, [[1] * m], [(1, 1)], m)
     if point is None:
         return None
@@ -328,7 +297,7 @@ def probability_bounds(
     Q (the simplex returns a certifying basic solution).
     """
     m = len(problem.rules)
-    exact, a_ub, b_ub = _lp_inequalities(problem)
+    exact, a_ub, b_ub = _lp_rows(problem)
     # per rule, min Q(d) and then min -Q(d), all from one phase 1
     objectives = [[sign if j == i else 0 for j in range(m)] for i in range(m) for sign in (1, -1)]
     results = lp.minimize_each(objectives, a_ub, b_ub, [[1] * m], [(1, 1)])
@@ -351,11 +320,11 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
         raise SizeLimitError(
             f"vertex enumeration supports at most {MAX_RULES_FOR_VERTICES} rules"
         )
-    scales, rows = _lp_rows(problem)
-    verts = lp.simplex_polytope_vertices(m, _fraction_rows(scales, rows))
+    exact, a_ub, b_ub = _lp_rows(problem)
+    verts = lp.simplex_polytope_vertices(m, a_ub, b_ub)
     if not verts:
         raise InfeasibleSetError("the identified set is empty")
-    return [_measure_over_rules(problem, v, scales is not None) for v in sorted(verts)]
+    return [_measure_over_rules(problem, v, exact) for v in sorted(verts)]
 
 
 class _NoWitness(ValidationError):

@@ -278,9 +278,10 @@ def spec_contains(spec: InfoSpec, rho: Measure) -> bool:
                 return False
         return True
     if isinstance(spec, ExplicitCapacity):
-        from .capacity import core_contains
-
-        return core_contains(build_capacity(spec), rho)
+        # core membership: rho(K) >= nu(K) for every subset K
+        nu = build_capacity(spec)
+        core_tol = tol_for(nu.values, rho.weights)
+        return all(ge(pk, nuk, core_tol) for pk, nuk in zip(mass_table(rho.weights), nu.values))
     if isinstance(spec, PointMass):
         return all(
             eq(a, b, tol) for a, b in zip(rho.weights, spec.rho.weights)

@@ -32,17 +32,19 @@ depend on a tolerance.  Three entry points:
     ``tests/lp_oracle.py`` keeps the rank-filter enumerator it replaced, which
     tests every crossing point by exact Gaussian elimination, as the oracle.
 
-The simplex takes its constraints in the tableau's own row form, so no
-Fraction sits between a caller's rows and the first pivot: ``a_ub[i]`` holds
-row i's int numerators and ``b_ub[i]`` the pair (right-hand side numerator,
-positive row denominator), and likewise for the equalities.  A row may be
-over any common denominator; the kernel divides it by the gcd of its
-entries.  Callers that hold int numerators build the rows from them; rows of
-Fractions or floats go through ``int_rows``, which puts each row over its
-least common denominator (the binary value of a double is exact).  Float
-callers relax inequality right-hand sides by their tolerance first.  The
-objectives may be ints, Fractions or floats and are converted the same way.
-Points and objective values come back as Fractions.
+All three take their constraints in one row form, the simplex tableau's
+own, so no Fraction sits between a caller's rows and the first pivot or the
+first slack: ``a_ub[i]`` holds row i's int numerators and ``b_ub[i]`` the
+pair (right-hand side numerator, positive row denominator), and likewise for
+the equalities.  A row may be over any common denominator and carry any
+positive factor: the simplex divides it by the gcd of its entries, and
+double description reads only the signs of its slacks and their ratios.
+Callers that hold int numerators build the rows from them; rows of Fractions
+or floats go through ``int_rows``, which puts each row over its least common
+denominator (the binary value of a double is exact).  Float callers relax
+inequality right-hand sides by their tolerance first.  The objectives may be
+ints, Fractions or floats and are converted the same way.  Points, vertices
+and objective values come back as Fractions.
 """
 
 from __future__ import annotations
@@ -340,9 +342,10 @@ def feasible_point(
 
 
 def simplex_polytope_vertices(
-    dim: int, constraints: Sequence[tuple[Row, Fraction]]
+    dim: int, a_ub: IntRows, b_ub: Tails
 ) -> list[tuple[Fraction, ...]]:
-    """Exact vertex set of ``{x >= 0, sum x = 1, coeffs.x <= rhs for each constraint}``.
+    """Exact vertex set of ``{x >= 0, sum x = 1, A_ub x <= b_ub}``, with the
+    constraints in row form, as ``solve_lp`` takes them.
 
     Double description: starting from the unit vectors, each constraint keeps
     the vertices it does not cut off and adds the point where it crosses each
@@ -358,8 +361,10 @@ def simplex_polytope_vertices(
         (tuple(_ONE if j == i else _ZERO for j in range(dim)), full ^ (1 << i))
         for i in range(dim)
     ]
-    for k, (coeffs, rhs) in enumerate(constraints):
+    for k, (coeffs, (rhs, _)) in enumerate(zip(a_ub, b_ub)):
         bit = 1 << (dim + k)
+        # the slack times the row's positive denominator: the sign and the
+        # crossing ratio su / (su - sw) are those of the slack itself
         slacks = [rhs - sum(c * v for c, v in zip(coeffs, point)) for point, _ in verts]
         kept = [(p, z | bit if s == 0 else z) for (p, z), s in zip(verts, slacks) if s >= 0]
         pos = [(p, z, s) for (p, z), s in zip(verts, slacks) if s > 0]

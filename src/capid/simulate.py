@@ -1,6 +1,6 @@
-"""Rule constructors and seeded synthetic populations.
+"""Seeded synthetic populations.
 
-These generators double as independent oracles: a population synthesized from
+The generator doubles as an independent oracle: a population synthesized from
 known per-rule choice distributions is rationalizable by its own mixing
 weights by construction, which pins down the soundness direction of the
 identification engine without reusing any of its code.
@@ -12,39 +12,12 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .capacity import Label, Measure, core_vertices
+from .capacity import Measure, core_vertices
 from .errors import ValidationError
-from .identification import DecisionRule, MenuCollection
+from .identification import DecisionRule
 from .info_specs import InfoSpec, build_capacity
 
 PRNG_ID = "python-random-mersenne-twister"
-
-
-class PreferenceOrder:
-    """Strict ranking over all alternatives, best first."""
-
-    def __init__(self, ranking: tuple[Label, ...]) -> None:
-        self.ranking = ranking
-
-    def name(self) -> str:
-        return "pref:" + ">".join(str(l) for l in self.ranking)
-
-
-def rules_from_preferences(
-    orders: Sequence[PreferenceOrder], collection: MenuCollection
-) -> list[DecisionRule]:
-    """Maximizers: each rule picks its highest-ranked member of every menu."""
-    ground = collection.ground
-    out = []
-    for order in orders:
-        if set(order.ranking) != set(ground.labels):
-            raise ValidationError("ranking must be a permutation of the ground set")
-        choices = []
-        for menu in collection.menus:
-            best = next(l for l in order.ranking if ground.singleton(l) & menu)
-            choices.append(best)
-        out.append(DecisionRule(order.name(), tuple(choices)))
-    return out
 
 
 class SynthResult:

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction as F
 
-from capid import Capacity, GroundSet, Measure, ValidationError, capacity_from_mobius, is_convex
+from capid import Capacity, GroundSet, Measure, ValidationError, is_convex
 from capid.info_specs import (
     Contamination,
     Ignorance,
     IntervalBelief,
     VariationNeighborhood,
 )
+from helpers import capacity_from_mobius
 
 LABELS = "abcdef"
 LABELS_BIG = "abcdefgh"

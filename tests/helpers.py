@@ -1,23 +1,93 @@
 """Model helpers that capid itself does not call, kept for the tests.
 
-Pushforwards of capacities and measures along point maps, the cylindrical
-extension of a capacity on a carrier, the choice distribution a menu
-distribution induces under a decision rule, Bayes posteriors and the
+The uniform measure on a mask, core membership, pointwise mixtures of
+capacities, the Moebius masses of a capacity and the capacity with given
+masses, pushforwards of capacities and measures along point maps, the
+cylindrical extension of a capacity on a carrier, the choice distribution a
+menu distribution induces under a decision rule, Bayes posteriors and the
 kappa-updated posteriors of the updating model, the average bias of a
-distribution over update rules, and satisficing decision rules.  The tests
-use them to build inputs and to state the theory's facts (cores commute with
-pushforwards, the updating reduction), which the engine relies on without
-calling them.
+distribution over update rules, and maximizing and satisficing decision
+rules.  The tests use them to build inputs and to state the theory's facts
+(cores commute with pushforwards and mix linearly, the updating reduction),
+which the engine relies on without calling them.
 """
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
-from capid.capacity import Capacity, GroundSet, Label, Measure
+from capid.capacity import Capacity, GroundSet, Label, Measure, _moebius, mass_table
 from capid.errors import ValidationError
 from capid.identification import DecisionRule, MenuCollection
-from capid.numeric import Num, ge, tol_for
+from capid.numeric import Num, eq, fold_sum, ge, tol_for
 from capid.updating import OddsGrid
+
+
+def uniform(ground: GroundSet, mask: Optional[int] = None) -> Measure:
+    """Equal weights on the labels of ``mask`` (default: all), carried by it."""
+    mask = ground.full_mask if mask is None else mask
+    k = mask.bit_count()
+    if k == 0:
+        raise ValidationError("cannot spread mass over the empty set")
+    w = Fraction(1, k)
+    weights = tuple(w if mask >> i & 1 else Fraction(0) for i in range(ground.size))
+    return Measure(ground, weights, mask)
+
+
+def core_contains(nu: Capacity, p: Measure) -> bool:
+    """Setwise dominance p(K) >= nu(K) for every subset K."""
+    if p.ground != nu.ground:
+        raise ValidationError("measure and capacity live on different ground sets")
+    tol = tol_for(nu.values, p.weights)
+    return all(ge(pk, nuk, tol) for pk, nuk in zip(mass_table(p.weights), nu.values))
+
+
+def mixture(capacities: Sequence[Capacity], weights: Sequence[Num]) -> Capacity:
+    """Pointwise convex combination; preserves convexity."""
+    if not capacities or len(capacities) != len(weights):
+        raise ValidationError("mixture needs matching capacities and weights")
+    ground = capacities[0].ground
+    for c in capacities:
+        if c.ground != ground:
+            raise ValidationError("mixture components live on different ground sets")
+    tol = tol_for(weights)
+    if any(not ge(w, 0, tol) for w in weights) or not eq(fold_sum(weights), 1, tol):
+        raise ValidationError("mixture weights must be a probability vector")
+    values = tuple(
+        fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
+        for mask in ground.masks()
+    )
+    carrier = 0
+    for w, c in zip(weights, capacities):
+        if not eq(w, 0, tol):
+            carrier |= c.active
+    return Capacity(ground, values, carrier if carrier else None)
+
+
+def mobius(nu: Capacity) -> tuple[Num, ...]:
+    """Moebius masses: mass(K) = sum over J below K of (-1)^|K\\J| nu(J)."""
+    return tuple(_moebius(list(nu.values), nu.ground.size))
+
+
+def capacity_from_mobius(
+    ground: GroundSet, mass: Sequence[Num], carrier: Optional[int] = None
+) -> Capacity:
+    """The capacity whose Moebius masses are ``mass``."""
+    if len(mass) != 1 << ground.size:
+        raise ValidationError("mass vector has wrong length")
+    return Capacity(ground, tuple(zeta(mass, ground.size)), carrier)
+
+
+def zeta(mass: Sequence[Num], n: int) -> list[Num]:
+    """The inverse of the Moebius transform on n labels, O(n 2^n):
+    f(K) = sum over J below K of mass(J), summed label by label."""
+    values = list(mass)
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(len(values)):
+            if mask & bit:
+                values[mask] += values[mask ^ bit]
+    return values
 
 
 def cylindrical_extension(nu_on_c: Capacity, ground: GroundSet) -> Capacity:
@@ -122,6 +192,33 @@ def apply_update_rule(kappa: Num, experiment: Measure, grid: OddsGrid) -> Measur
 def average_bias(q: Measure) -> Num:
     """Mean kappa of a distribution over update rules (labels are kappas)."""
     return sum(w * label for w, label in zip(q.weights, q.ground.labels))
+
+
+class PreferenceOrder:
+    """Strict ranking over all alternatives, best first."""
+
+    def __init__(self, ranking: tuple[Label, ...]) -> None:
+        self.ranking = ranking
+
+    def name(self) -> str:
+        return "pref:" + ">".join(str(l) for l in self.ranking)
+
+
+def rules_from_preferences(
+    orders: Sequence[PreferenceOrder], collection: MenuCollection
+) -> list[DecisionRule]:
+    """Maximizers: each rule picks its highest-ranked member of every menu."""
+    ground = collection.ground
+    out = []
+    for order in orders:
+        if set(order.ranking) != set(ground.labels):
+            raise ValidationError("ranking must be a permutation of the ground set")
+        choices = []
+        for menu in collection.menus:
+            best = next(l for l in order.ranking if ground.singleton(l) & menu)
+            choices.append(best)
+        out.append(DecisionRule(order.name(), tuple(choices)))
+    return out
 
 
 @dataclass(frozen=True)

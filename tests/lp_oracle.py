@@ -13,6 +13,9 @@ double description: it crosses every pair of vertices on opposite sides of
 each new cut and keeps the candidates whose active constraints have full
 rank, by exact Gaussian elimination.  It must return the same vertex set as
 ``capid.lp.simplex_polytope_vertices``.
+
+Both oracles take rows of Fractions ``(coeffs, rhs)``; ``kernel_rows`` and
+``fraction_rows`` carry rows between that form and ``capid.lp``'s int rows.
 """
 
 from __future__ import annotations
@@ -20,10 +23,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from capid.lp import LpResult, Row
+from capid.lp import IntRows, LpResult, Row, Tails, int_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def kernel_rows(
+    rows: Sequence[tuple[Row, Fraction]],
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Rows ``coeffs . x <= rhs`` of Fractions in ``capid.lp``'s row form."""
+    return int_rows([coeffs for coeffs, _ in rows], [rhs for _, rhs in rows])
+
+
+def fraction_rows(a_ub: IntRows, b_ub: Tails) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """``capid.lp``'s rows as Fraction rows ``(coeffs, rhs)``: each numerator
+    over its row's denominator."""
+    return [
+        (tuple(Fraction(v, den) for v in coeffs), Fraction(rhs, den))
+        for coeffs, (rhs, den) in zip(a_ub, b_ub)
+    ]
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

@@ -14,7 +14,7 @@ import pytest
 import gen
 import oracle
 from capacity_oracle import literal_from_measure, lower_probability
-from capid import GroundSet, Measure, core_contains, core_vertices, is_belief_function, is_convex, mixture, decompose_in_mixture_core, Capacity
+from capid import GroundSet, Measure, core_vertices, is_belief_function, is_convex, decompose_in_mixture_core, Capacity
 from capid.identification import (
     IdentificationProblem,
     MenuCollection,
@@ -27,7 +27,7 @@ from capid.identification import (
     witness_decomposition,
 )
 from capid.info_specs import Ignorance, build_capacity, spec_contains
-from capid.simulate import PreferenceOrder, rules_from_preferences, synth_population
+from capid.simulate import synth_population
 from capid.updating import (
     ExperimentModel,
     OddsGrid,
@@ -35,7 +35,14 @@ from capid.updating import (
     check_average_bias,
     rationalizing_kappa_interval,
 )
-from helpers import apply_update_rule, average_bias
+from helpers import (
+    PreferenceOrder,
+    apply_update_rule,
+    average_bias,
+    core_contains,
+    mixture,
+    rules_from_preferences,
+)
 
 ABC = GroundSet.of("abc")
 

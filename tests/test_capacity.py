@@ -20,17 +20,21 @@ from capid import (
     Measure,
     NotConvexError,
     ValidationError,
-    capacity_from_mobius,
-    core_contains,
     core_vertices,
     decompose_in_mixture_core,
     is_belief_function,
     is_convex,
-    mixture,
-    mobius,
 )
 from capid.capacity import submasks
-from helpers import cylindrical_extension, pushforward, pushforward_measure
+from helpers import (
+    capacity_from_mobius,
+    core_contains,
+    cylindrical_extension,
+    mixture,
+    mobius,
+    pushforward,
+    pushforward_measure,
+)
 
 AB = GroundSet.of("ab")
 ABC = GroundSet.of("abc")

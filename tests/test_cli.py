@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from capid import Capacity, GroundSet, capacity_from_mobius, cli, identification, schemas
+from capid import Capacity, GroundSet, cli, identification, schemas
 from capid.cli import main
+from helpers import capacity_from_mobius
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NESTED = str(FIXTURES / "nested_menus_six_orders.json")

@@ -20,7 +20,6 @@ from capid import (
     InfeasibleSetError,
     Measure,
     ValidationError,
-    core_contains,
 )
 from capid.identification import (
     DecisionRule,
@@ -39,8 +38,13 @@ from capid.identification import (
     witness_decomposition,
 )
 from capid.info_specs import Contamination, Ignorance, PointMass, build_capacity
-from capid.simulate import PreferenceOrder, rules_from_preferences
-from helpers import induce_choice_distribution
+from helpers import (
+    PreferenceOrder,
+    core_contains,
+    induce_choice_distribution,
+    rules_from_preferences,
+    uniform,
+)
 
 ABC = GroundSet.of("abc")
 
@@ -188,8 +192,7 @@ class TestNestedMenusInstance:
 
     def test_violation_list_caps_at_64_with_full_count(self):
         big = GroundSet.of("abcdefgh")
-        uniform = Measure.uniform(big)
-        specs = [("u", PointMass(big, big.full_mask, uniform))]
+        specs = [("u", PointMass(big, big.full_mask, uniform(big)))]
         lam = Measure.point(big, "a")
         problem = problem_from_info_specs(big, specs, lam)
         q = Measure(problem.rule_ground(), (F(1),))
@@ -365,7 +368,7 @@ class TestDisjointCarriers:
 
     def test_single_rule_bounds_are_unit(self):
         specs = [("only", Ignorance(ABC, ABC.full_mask))]
-        lam = Measure.uniform(ABC)
+        lam = uniform(ABC)
         bounds = probability_bounds(problem_from_info_specs(ABC, specs, lam))
         assert bounds == {"only": (F(1), F(1))}
 
@@ -472,7 +475,7 @@ class TestProblemValidation:
             IdentificationProblem(
                 ABC,
                 (ProblemRule("r", ABC.full_mask, bad),),
-                Measure.uniform(ABC),
+                uniform(ABC),
             )
 
     def test_rejects_duplicate_ids(self):
@@ -484,5 +487,5 @@ class TestProblemValidation:
                     ProblemRule("r", ABC.full_mask, nu),
                     ProblemRule("r", ABC.full_mask, nu),
                 ),
-                Measure.uniform(ABC),
+                uniform(ABC),
             )

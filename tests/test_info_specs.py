@@ -17,7 +17,6 @@ from capid import (
     Measure,
     NotConvexError,
     ValidationError,
-    core_contains,
     is_belief_function,
     is_convex,
 )
@@ -32,6 +31,7 @@ from capid.info_specs import (
     build_capacity,
     spec_contains,
 )
+from helpers import core_contains, uniform
 
 AB = GroundSet.of("ab")
 ABC = GroundSet.of("abc")
@@ -63,7 +63,7 @@ class TestValidation:
 
     def test_contamination_epsilon_domain(self):
         with pytest.raises(ValidationError):
-            Contamination(AB, AB.full_mask, Measure.uniform(AB), F(3, 2))
+            Contamination(AB, AB.full_mask, uniform(AB), F(3, 2))
 
     def test_interval_totals_must_straddle_one(self):
         with pytest.raises(ValidationError):
@@ -79,7 +79,7 @@ class TestValidation:
 
     def test_variation_epsilon_positive(self):
         with pytest.raises(ValidationError):
-            VariationNeighborhood(AB, AB.full_mask, Measure.uniform(AB), F(0))
+            VariationNeighborhood(AB, AB.full_mask, uniform(AB), F(0))
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(ValidationError):
@@ -141,7 +141,7 @@ class TestBuildCapacity:
         with pytest.raises(NotConvexError, match="requires a convex capacity"):
             build_capacity(ExplicitCapacity(AB, AB.full_mask, bad))
         with pytest.raises(ValidationError, match="capacity must be convex"):
-            IdentificationProblem(AB, (ProblemRule("r", AB.full_mask, bad),), Measure.uniform(AB))
+            IdentificationProblem(AB, (ProblemRule("r", AB.full_mask, bad),), uniform(AB))
 
     def test_point_mass_is_measure_capacity(self):
         rho = Measure(ABC, (F(1, 2), F(1, 2), F(0)), ABC.mask_of("ab"))
@@ -168,7 +168,7 @@ class TestSpecContains:
 
     def test_contamination_rejects_off_cone(self):
         spec = Contamination(
-            AB, AB.full_mask, rho_hat=Measure.uniform(AB), epsilon=F(1, 2)
+            AB, AB.full_mask, rho_hat=uniform(AB), epsilon=F(1, 2)
         )
         assert not spec_contains(spec, Measure(AB, (F(1, 5), F(4, 5))))
         assert spec_contains(spec, Measure(AB, (F(1, 4), F(3, 4))))
@@ -184,7 +184,7 @@ class TestSpecContains:
 
     def test_variation_ball_is_closed(self):
         spec = VariationNeighborhood(
-            AB, AB.full_mask, reference=Measure.uniform(AB), epsilon=F(1, 4)
+            AB, AB.full_mask, reference=uniform(AB), epsilon=F(1, 4)
         )
         # distance exactly 1/4 is inside the closed ball
         assert spec_contains(spec, Measure(AB, (F(1, 4), F(3, 4))))

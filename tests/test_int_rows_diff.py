@@ -17,15 +17,16 @@ from fractions import Fraction as F
 
 import oracle
 from capacity_oracle import brute_force_convex
-from capid import Capacity, GroundSet, Measure, ValidationError, capacity_from_mobius, is_convex
+from capid import Capacity, GroundSet, Measure, ValidationError, is_convex
 from capid.identification import (
     MAX_REPORTED_VIOLATIONS,
     IdentificationProblem,
     ProblemRule,
-    _fraction_rows,
     _lp_rows,
     check_rationalizes,
 )
+from helpers import capacity_from_mobius
+from lp_oracle import fraction_rows
 
 PRIMES = (
     999_907, 999_917, 999_931, 999_953, 999_959, 999_961, 999_979,
@@ -130,8 +131,8 @@ def test_verdicts_and_rows_match_the_fraction_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["int_shortfall"] += any(type(s) is int for _, s in new.violated)
 
-        scales, rows = _lp_rows(problem)
-        lp_rows = (scales is not None, _fraction_rows(scales, rows))
+        exact, a_ub, b_ub = _lp_rows(problem)
+        lp_rows = (exact, fraction_rows(a_ub, b_ub))
         assert repr(lp_rows) == repr((True, oracle._constraint_rows(ground, lam, caps)))
 
     assert seen["coprime_scales"] >= CASES // 2, seen

@@ -9,15 +9,18 @@ from capid import (
     Capacity,
     GroundSet,
     Measure,
-    capacity_from_mobius,
-    core_contains,
     core_vertices,
     decompose_in_mixture_core,
     is_convex,
+)
+from helpers import (
+    capacity_from_mobius,
+    core_contains,
     mixture,
     mobius,
+    pushforward,
+    pushforward_measure,
 )
-from helpers import pushforward, pushforward_measure
 
 
 class TestMixtureLinearity:

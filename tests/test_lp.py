@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 from capid.lp import feasible_point, int_rows, simplex_polytope_vertices, solve_lp
+from lp_oracle import kernel_rows
 
 
 def solve(c, a_ub, b_ub, a_eq, b_eq):
@@ -71,9 +72,26 @@ class TestSolveLp:
             assert solve_lp([F(-1), F(1)], a_ub, b_ub, a_eq, b_eq) == expected
 
 
+def vertices(dim, rows):
+    """``simplex_polytope_vertices`` on rows of Fractions ``(coeffs, rhs)``,
+    each put over its least common denominator.  The same rows with row k's
+    numerators and denominator multiplied by 2k + 3, unreduced, as the
+    dominance rows arrive over one common denominator L * D, must give the
+    same vertices."""
+    a_ub, b_ub = kernel_rows(rows)
+    verts = simplex_polytope_vertices(dim, a_ub, b_ub)
+    scaled = simplex_polytope_vertices(
+        dim,
+        [[v * (2 * k + 3) for v in row] for k, row in enumerate(a_ub)],
+        [(rhs * (2 * k + 3), den * (2 * k + 3)) for k, (rhs, den) in enumerate(b_ub)],
+    )
+    assert scaled == verts
+    return verts
+
+
 class TestSimplexPolytopeVertices:
     def test_no_constraints_gives_unit_vectors(self):
-        verts = set(simplex_polytope_vertices(3, []))
+        verts = set(vertices(3, []))
         assert verts == {
             (F(1), F(0), F(0)),
             (F(0), F(1), F(0)),
@@ -82,7 +100,7 @@ class TestSimplexPolytopeVertices:
 
     def test_single_cut(self):
         # x0 <= 1/2 slices the edge from e0 to both other corners
-        verts = set(simplex_polytope_vertices(3, [((F(1), F(0), F(0)), F(1, 2))]))
+        verts = set(vertices(3, [((F(1), F(0), F(0)), F(1, 2))]))
         assert verts == {
             (F(0), F(1), F(0)),
             (F(0), F(0), F(1)),
@@ -91,22 +109,18 @@ class TestSimplexPolytopeVertices:
         }
 
     def test_empty_polytope(self):
-        verts = simplex_polytope_vertices(2, [((F(1), F(1)), F(1, 2))])
+        verts = vertices(2, [((F(1), F(1)), F(1, 2))])
         assert verts == []
 
     def test_point_polytope(self):
         # x0 <= 1/3 and x1 <= 2/3 pins the unique point (1/3, 2/3)
-        verts = simplex_polytope_vertices(
-            2, [((F(1), F(0)), F(1, 3)), ((F(0), F(1)), F(2, 3))]
-        )
+        verts = vertices(2, [((F(1), F(0)), F(1, 3)), ((F(0), F(1)), F(2, 3))])
         assert set(verts) == {(F(1, 3), F(2, 3))}
 
     def test_redundant_constraint_changes_nothing(self):
         base = [((F(1), F(0)), F(1, 2))]
         redundant = base + [((F(1), F(1)), F(2))]
-        assert set(simplex_polytope_vertices(2, base)) == set(
-            simplex_polytope_vertices(2, redundant)
-        )
+        assert set(vertices(2, base)) == set(vertices(2, redundant))
 
     def test_vertices_satisfy_all_constraints(self):
         constraints = [
@@ -114,7 +128,7 @@ class TestSimplexPolytopeVertices:
             ((F(0), F(1), F(1)), F(2, 3)),
             ((F(1), F(0), F(1)), F(3, 5)),
         ]
-        verts = simplex_polytope_vertices(3, constraints)
+        verts = vertices(3, constraints)
         assert verts
         for v in verts:
             assert sum(v) == 1 and all(x >= 0 for x in v)

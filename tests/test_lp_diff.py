@@ -18,11 +18,11 @@ import pytest
 
 import lp_oracle
 from capid import lp
-from capid.identification import _fraction_rows, _lp_rows, problem_from_info_specs
+from capid.identification import _lp_rows, problem_from_info_specs
 from capid.lp import int_rows, minimize_each, simplex_polytope_vertices, solve_lp
 from capid.simulate import synth_population
 from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
-from lp_oracle import rank_filter_vertices
+from lp_oracle import fraction_rows, kernel_rows, rank_filter_vertices
 from lp_oracle import solve_lp as dense_solve_lp
 
 
@@ -337,7 +337,7 @@ def test_vertices_match_rank_filter_oracle():
     outcomes = {"empty": 0, "few": 0, "degenerate": 0}
     for seed in POLYTOPE_SEEDS:
         dim, rows = random_polytope(random.Random(seed))
-        verts = simplex_polytope_vertices(dim, rows)
+        verts = simplex_polytope_vertices(dim, *kernel_rows(rows))
         expected = rank_filter_vertices(dim, rows)
         assert len(verts) == len(set(verts)), seed
         assert set(verts) == set(expected), seed
@@ -373,8 +373,9 @@ def test_identified_set_vertices_match_rank_filter_oracle():
         else:
             lam = random_measure(rng, ground)
         problem = problem_from_info_specs(ground, specs, lam)
-        rows = _fraction_rows(*_lp_rows(problem))
-        verts = simplex_polytope_vertices(m, rows)
+        _, a_ub, b_ub = _lp_rows(problem)
+        verts = simplex_polytope_vertices(m, a_ub, b_ub)
+        rows = fraction_rows(a_ub, b_ub)
         assert len(verts) == len(set(verts)), case
         assert set(verts) == set(rank_filter_vertices(m, rows)), case
         nonempty += bool(verts)

@@ -15,17 +15,18 @@ from pathlib import Path
 import gen
 import oracle
 from capacity_oracle import literal_build_capacity
-from capid import Measure, core_contains, lp, schemas
+from capid import Measure, lp, schemas
 from capid.capacity import decompose_in_mixture_core, mass_table
 from capid.identification import (
     MAX_REPORTED_VIOLATIONS,
-    _fraction_rows,
     _lp_rows,
     check_rationalizes,
 )
 from capid.info_specs import build_capacity
 from capid.numeric import ge, tol_for
 from capid.updating import biased_capacity, check_average_bias
+from helpers import core_contains
+from lp_oracle import fraction_rows
 
 CASES = 240
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,9 +79,9 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["pass" if new.rationalizes else "fail"] += 1
 
-        # the LP rows, read through their scales, and the arithmetic mode
-        scales, rows = _lp_rows(problem)
-        lp_rows = (scales is not None, _fraction_rows(scales, rows))
+        # the LP rows, read as Fractions, and the arithmetic mode
+        lp_exact, a_ub, b_ub = _lp_rows(problem)
+        lp_rows = (lp_exact, fraction_rows(a_ub, b_ub))
         assert repr(lp_rows) == repr((exact, oracle._constraint_rows(ground, lam, caps)))
 
     assert seen["exact"] >= 100 and seen["float"] >= 100

@@ -10,8 +10,8 @@ from capid.identification import (
     problem_from_info_specs,
 )
 from capid.info_specs import Contamination, Ignorance, PointMass
-from capid.simulate import PreferenceOrder, rules_from_preferences, synth_population
-from helpers import SatisficingSpec, rules_from_satisficing
+from capid.simulate import synth_population
+from helpers import PreferenceOrder, SatisficingSpec, rules_from_preferences, rules_from_satisficing
 
 ABC = GroundSet.of("abc")
 NESTED = MenuCollection.of(ABC, [["a"], ["a", "b"], ["a", "b", "c"]])

@@ -14,7 +14,7 @@ from collections import Counter
 import gen
 from capacity_oracle import literal_build_capacity
 from capid import GroundSet, Measure
-from capid.capacity import carrier_masks, spread
+from capid.capacity import carrier_masks, spread, submasks
 from capid.info_specs import (
     Contamination,
     IntervalBelief,
@@ -114,6 +114,7 @@ def test_spread_is_the_cylindrical_extension():
         n = rng.randint(1, 7)
         carrier = rng.randint(1, (1 << n) - 1)
         masks = carrier_masks(carrier)
+        assert masks == sorted(submasks(carrier))
         small = [object() for _ in masks]
         where = {mask: t for t, mask in enumerate(masks)}
         wide = spread(small, carrier, n)

@@ -13,6 +13,7 @@ from itertools import combinations
 import gen
 from capid import GroundSet, Measure
 from capid.identification import (
+    _lp_rows,
     check_rationalizes,
     exists_rationalizing,
     identified_vertices,
@@ -20,6 +21,7 @@ from capid.identification import (
     problem_from_info_specs,
 )
 from capid.lp import simplex_polytope_vertices
+from lp_oracle import fraction_rows, kernel_rows
 
 
 def solve_square(matrix, rhs):
@@ -111,14 +113,12 @@ class TestVertexEnumerationAgainstBasisOracle:
                 coeffs = tuple(F(rng.randint(0, 4), 4) for _ in range(dim))
                 rhs = F(rng.randint(1, 8), 8)
                 cuts.append((coeffs, rhs))
-            fast = set(simplex_polytope_vertices(dim, cuts))
+            fast = set(simplex_polytope_vertices(dim, *kernel_rows(cuts)))
             slow = brute_force_vertices(dim, cuts)
             assert fast == slow, (dim, cuts)
 
     def test_identified_sets_agree(self):
         rng = random.Random(555002)
-        from capid.identification import _fraction_rows, _lp_rows
-
         for _ in range(15):
             ground = gen.random_ground(rng, 2, 4)
             m = rng.randint(2, 4)
@@ -135,7 +135,8 @@ class TestVertexEnumerationAgainstBasisOracle:
             ).lam
             problem = problem_from_info_specs(ground, specs, lam)
             fast = {v.weights for v in identified_vertices(problem)}
-            slow = brute_force_vertices(m, _fraction_rows(*_lp_rows(problem)))
+            _, a_ub, b_ub = _lp_rows(problem)
+            slow = brute_force_vertices(m, fraction_rows(a_ub, b_ub))
             assert fast == slow
 
 
