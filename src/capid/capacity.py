@@ -4,10 +4,10 @@ A capacity is a monotone set function with value 0 on the empty set and 1 on
 the full set; probability measures are the additive special case.  Subsets
 are bitmasks over an ordered ground set, values live in a dense array of
 length 2^n, and all arithmetic is exact on Fractions unless the caller opts
-into floats (comparisons then carry a 1e-9 absolute tolerance).  An exact
-capacity also keeps its values as int numerators over one denominator, on
-which the monotonicity and convexity scans, the dominance rows and the core
-rows of an exact decomposition run.
+into floats.  A capacity also keeps its values as int numerators over one
+denominator, floats at their binary values, on which the monotonicity,
+convexity and belief scans, the dominance rows and the core rows of a
+decomposition run in both modes, float mode's 1e-9 tolerance as an int shift.
 
 The module provides the toolkit the engine needs: convexity
 (supermodularity) testing, the belief-function test on the Moebius masses,
@@ -36,7 +36,7 @@ from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
     FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, format_number, ge,
-    int_numerators, tol_for,
+    int_numerators, tol_for, tol_shift,
 )
 
 Label = Hashable
@@ -314,11 +314,11 @@ class Capacity(Record):
         # together make the capacity monotone on every subset
         active = self.active
         bits = [1 << i for i in range(n) if active >> i & 1]
-        masks = carrier_masks(active)
-        scan, slack = (self.int_view[0], 0) if self.is_exact else (values, tol)
-        for mask in masks:
+        nums, scale = self.int_view
+        shift = tol_shift(tol, scale)
+        for mask in carrier_masks(active):
             for bit in bits:
-                if not mask & bit and not ge(scan[mask | bit], scan[mask], slack):
+                if not mask & bit and nums[mask | bit] + shift < nums[mask]:
                     raise ValidationError(
                         f"capacity not monotone at {self.ground.subset_key(mask)} "
                         f"+ {self.ground.labels[bit.bit_length() - 1]!r}"
@@ -346,12 +346,11 @@ class Capacity(Record):
         exact = all_exact(table if values is None else values)
         if values is None:
             values = tuple(map(table.__getitem__, index))
+        nums, scale = int_numerators(table)
         nu = object.__new__(cls)
         memo = nu.__dict__
         memo.update(ground=ground, values=values, carrier=carrier, is_exact=exact, _convex=True)
-        if exact:
-            nums, scale = int_numerators(table)
-            memo["int_view"] = tuple(map(nums.__getitem__, index)), scale
+        memo["int_view"] = tuple(map(nums.__getitem__, index)), scale
         return nu
 
     # computed once per capacity: is_exact and int_view scan all 2^n values.
@@ -364,15 +363,15 @@ class Capacity(Record):
 
     @cached_property
     def int_view(self) -> tuple[tuple[int, ...], int]:
-        """Exact mode only: the values as int numerators over the lcm of their
-        denominators, so comparing numerators compares values.  Only the
-        carrier's subsets are converted; every other value is a copy."""
-        active = self.active
-        masks = carrier_masks(active)
-        nums, scale = int_numerators([self.values[mask] for mask in masks])
-        if len(masks) < len(self.values):
-            nums = spread(nums, active, self.ground.size)
-        return nums, scale
+        """The values as int numerators over the lcm of their denominators.
+        Only the carrier's subsets are converted and spread, unless float
+        values off them differ within the tolerance (exact ones never do)."""
+        active, values = self.active, self.values
+        small = [values[mask] for mask in carrier_masks(active)]
+        if len(small) == len(values) or values != spread(small, active, self.ground.size):
+            return int_numerators(values)
+        nums, scale = int_numerators(small)
+        return spread(nums, active, self.ground.size), scale
 
     @cached_property
     def tol(self) -> Num:
@@ -389,17 +388,17 @@ class Capacity(Record):
         the carrier, so the test stays on the carrier's subsets:
         O(|C|^2 2^|C|).
         """
-        values, tol = (self.int_view[0], 0) if self.is_exact else (self.values, self.tol)
+        values, scale = self.int_view
+        shift = tol_shift(self.tol, scale)
         active = self.active
         bits = [1 << i for i in range(self.ground.size) if active >> i & 1]
         for a, bit_i in enumerate(bits):
             for bit_j in bits[a + 1:]:
                 pair = bit_i | bit_j
                 for mask in submasks(active & ~pair):
-                    if not ge(
-                        values[mask | pair] + values[mask],
-                        values[mask | bit_i] + values[mask | bit_j],
-                        tol,
+                    if (
+                        values[mask | pair] + values[mask] + shift
+                        < values[mask | bit_i] + values[mask | bit_j]
                     ):
                         return False
         return True
@@ -448,13 +447,12 @@ def is_belief_function(nu: Capacity) -> bool:
     """Total monotonicity, equivalently all Moebius masses nonnegative.
 
     Masses outside the carrier's powerset vanish for cylindrical capacities,
-    so only the carrier's subsets are transformed.
+    so only the carrier's subsets are transformed, on their int numerators.
     """
-    tol = nu.tol
+    nums, scale = nu.int_view
     active = nu.active
-    restricted = [nu.values[mask] for mask in carrier_masks(active)]
-    masses = _moebius(restricted, active.bit_count())
-    return all(ge(m, 0, tol) for m in masses)
+    masses = _moebius([nums[mask] for mask in carrier_masks(active)], active.bit_count())
+    return min(masses) >= -tol_shift(nu.tol, scale)
 
 
 def _cell(w: Num) -> int:
@@ -559,6 +557,7 @@ def decompose_in_mixture_core(
         raise ValidationError("mixture weights must be a probability vector")
     exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
+    slack_num, slack_den = slack.as_integer_ratio()
 
     active = [i for i, w in enumerate(weights) if w > 0]
     # variables: for each active component, the weights on its carrier labels
@@ -585,28 +584,25 @@ def decompose_in_mixture_core(
             row[var] = 1
         a_eq.append(row)
         b_eq.append((1, 1))
-        masks = [mask for mask in submasks(carrier) if mask and mask != carrier]
-        # p_i(K) >= nu_i(K), written on the complement so the right-hand
-        # side stays nonnegative: p_i(C\K) <= 1 - nu_i(K).  With nu_i(K),
-        # less the float slack, as N_K over L, the row is [L..., L - N_K, L].
-        if exact:
-            nums, scale = cap.int_view
-            floors = [nums[mask] for mask in masks]
-        else:
-            floors, scale = int_numerators(
-                [as_fraction(cap.values[mask]) - slack for mask in masks]
-            )
-        for mask, floor in zip(masks, floors):
+        # p_i(K) >= nu_i(K) less the slack, written on the complement so the
+        # right-hand side stays nonnegative: p_i(C\K) <= 1 - nu_i(K) + slack.
+        # With nu_i(K) as N_K over L and the slack as s over t, the row is
+        # [L t..., (L - N_K) t + s L, L t].
+        nums, scale = cap.int_view
+        unit = scale * slack_den
+        for mask in submasks(carrier):
+            if not mask or mask == carrier:
+                continue
             row = [0] * nvars
             comp = carrier & ~mask
             for i, var in var_of[ci].items():
                 if comp >> i & 1:
-                    row[var] = scale
+                    row[var] = unit
             a_ub.append(row)
-            b_ub.append((scale - floor, scale))
+            b_ub.append(((scale - nums[mask]) * slack_den + slack_num * scale, unit))
     # the mix-back sum_i w_i p_i(a) = p(a), over the weights' and p's scales
-    w_nums, w_scale = int_numerators([as_fraction(w) for w in weights])
-    p_nums, p_scale = int_numerators([as_fraction(v) for v in p.weights])
+    w_nums, w_scale = int_numerators(weights)
+    p_nums, p_scale = int_numerators(p.weights)
     den = w_scale * p_scale
     mix_rows: list[list[int]] = []
     targets: list[int] = []
@@ -619,10 +615,8 @@ def decompose_in_mixture_core(
                 row[var] = w_nums[ci] * p_scale
                 covered = True
         if not covered:
-            if exact:
-                if p_nums[i] != 0:
-                    return None
-            elif not eq(p.weights[i], 0, FLOAT_TOL):
+            # mass on a label no active carrier holds, beyond the slack
+            if abs(p_nums[i]) > tol_shift(slack, p_scale):
                 return None
             continue
         mix_rows.append(row)

@@ -16,15 +16,14 @@ is linear programming or exact vertex enumeration:
 * ``check_menu_homogeneous`` additionally forces a single menu distribution
   shared by all rules.
 
-The verdicts and the LP rows all come from one source, ``_dominance_rows``.
-In exact mode its rows are ints: the capacities' values over one common
-denominator and lambda's subset sums over lambda's denominator, so the
-verdict scan compares int dot products and the LP rows are deduplicated and
-sorted as int tuples.  The kept rows reach the LP kernel, for the simplex
-and for vertex enumeration alike, as ints in its row form; only the
-shortfalls a verdict lists become Fractions.  Float mode scans the floats
-themselves and hands the LP the rows' exact Fractions, which the kernel's
-converter puts over their common denominators.
+The verdicts and the LP rows all come from one source, ``_dominance_rows``,
+whose rows are ints in both modes: the capacities' values over one common
+denominator and lambda's subset sums (summed as floats in float mode) over
+another, a float at its exact binary value.  The verdict scan compares int
+dot products, and the LP rows are deduplicated and sorted as int tuples and
+reach the LP kernel, for the simplex and vertex enumeration alike, as ints
+in its row form.  Float mode's 1e-9 tolerance is one int shift in the scan
+and an exact slack on the rows' right-hand sides.
 """
 
 from __future__ import annotations
@@ -48,7 +47,9 @@ from .capacity import (
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
-from .numeric import FLOAT_TOL, Num, all_exact, as_fraction, eq, fold_sum, int_numerators
+from .numeric import (
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, int_numerators, tol_shift,
+)
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
 MAX_RULES_FOR_VERTICES = 8
@@ -176,27 +177,28 @@ def _q_weights(problem_rules: Sequence[ProblemRule], q: Measure) -> list[Num]:
 
 def _dominance_rows(
     lam: Measure, capacities: Sequence[Capacity], weights: Sequence[Num] = ()
-) -> tuple[Optional[tuple[int, int]], Iterator[tuple[int, tuple[Num, ...], Num]]]:
+) -> tuple[Num, tuple[int, int], Iterator[tuple[int, tuple[int, ...], int]]]:
     """The dominance family lam(K) >= sum_d Q(d) nu_d(K), one row per subset K.
 
-    Returns the row scales and a single-pass iterator over the rows (K, the
-    capacities' values at K, lam(K)) in mask order, with lam's subset sums
-    read off one table.  The arithmetic mode is decided once, on lam, the
-    capacities and any mixing ``weights``.  In exact mode the scales are
-    (L, D): the values come as ints over L, the lcm of the capacities'
-    denominators, and lam(K) as an int over D, lam's denominator.  In float
-    mode the scales are None and the rows hold the values themselves.
+    Returns the tolerance, zero unless lam, a capacity or a mixing weight
+    holds a float, the scales (L, D) and a single-pass iterator over the
+    rows (K, the capacities' values at K as ints over L, lam(K) as an int
+    over D) in mask order.  lam's subset sums come off one table, of its
+    numerators when lam is exact and of its floats, as ``Measure.mass``
+    adds them, when not.
     """
-    if not (lam.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)):
-        columns = zip(*(c.values for c in capacities))
-        return None, zip(count(), columns, mass_table(lam.weights))
+    exact = lam.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
     views = [c.int_view for c in capacities]
     scale = math.lcm(*(den for _, den in views))
     columns = zip(*(
         nums if den == scale else tuple(v * (scale // den) for v in nums) for nums, den in views
     ))
-    lam_nums, lam_scale = int_numerators(lam.weights)
-    return (scale, lam_scale), zip(count(), columns, mass_table(lam_nums))
+    if lam.is_exact:
+        lam_nums, lam_scale = int_numerators(lam.weights)
+        sums = mass_table(lam_nums)
+    else:
+        sums, lam_scale = int_numerators(mass_table(lam.weights))
+    return ZERO if exact else FLOAT_TOL, (scale, lam_scale), zip(count(), columns, sums)
 
 
 def dominance_verdict(
@@ -204,32 +206,22 @@ def dominance_verdict(
 ) -> Verdict:
     """Scan every dominance row at the mixing weights; at most
     MAX_REPORTED_VIOLATIONS shortfalls are listed, all are counted."""
-    scales, rows = _dominance_rows(lam, capacities, weights)
-    if scales is None:
-        # a float weight times a Fraction value is float(w) * float(v), so
-        # float weights take float(v) directly, without Fraction.__rmul__
-        floats = all(isinstance(w, float) for w in weights)
-        failing = (
-            mask for mask, column, lam_k in rows
-            if fold_sum(map(mul, weights, map(float, column) if floats else column))
-            - lam_k > FLOAT_TOL
-        )
-    else:
-        # sum_d (w_d/W)(N_d/L) > Lam/D, with W, L and D positive
-        w_nums, w_scale = int_numerators(weights)
-        scale, lam_scale = scales
-        bound = w_scale * scale
-        failing = (
-            mask for mask, column, lam_k in rows
-            if sum(map(mul, w_nums, column)) * lam_scale > lam_k * bound
-        )
+    tol, (scale, lam_scale), rows = _dominance_rows(lam, capacities, weights)
+    # sum_d (w_d/W)(N_d/L) - Lam/D > tol, with W, L and D positive
+    w_nums, w_scale = int_numerators(weights)
+    bound = w_scale * scale
+    shift = tol_shift(tol, bound * lam_scale)
+    failing = (
+        mask for mask, column, lam_k in rows
+        if sum(map(mul, w_nums, column)) * lam_scale > lam_k * bound + shift
+    )
     violations: list[tuple[int, Num]] = []
     violation_count = 0
     for mask in failing:
         violation_count += 1
         if len(violations) < MAX_REPORTED_VIOLATIONS:
             # the listed shortfalls are worked out on the values themselves,
-            # as the float scan does, so they keep their types
+            # so they keep their types
             total = fold_sum(w * c.values[mask] for w, c in zip(weights, capacities))
             violations.append((mask, total - lam.mass(mask)))
     return Verdict(violation_count == 0, tuple(violations), violation_count)
@@ -242,33 +234,30 @@ def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
 
 
 def _lp_rows(
-    problem: IdentificationProblem,
+    problem: IdentificationProblem, share: Num = 1
 ) -> tuple[bool, list[list[int]], list[tuple[int, int]]]:
     """Whether the rows are exact, and the dominance rows ``coeffs . Q <= rhs``
     in the LP kernel's row form, for ``exists``, ``bounds`` and ``vertices``.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
-    Rows come out sorted by value.  In exact mode the coefficients are
-    ``_dominance_rows``' ints over L and the right-hand sides its ints over D,
-    all put over L * D.  In float mode the rows are the values' exact
-    Fractions, right-hand sides gain the standard feasibility slack, and each
-    row goes over its least common denominator.
+    Rows come out sorted by value.  The coefficients are ``_dominance_rows``'
+    ints over L and the right-hand sides its ints over D, plus ``share`` of
+    the tolerance as s over t, all put over L * D * t.
     """
-    scales, rows = _dominance_rows(problem.data, [r.capacity for r in problem.rules])
-    best: dict[tuple[Num, ...], Num] = {}
+    caps = [r.capacity for r in problem.rules]
+    tol, (scale, lam_scale), rows = _dominance_rows(problem.data, caps)
+    best: dict[tuple[int, ...], int] = {}
     for _, column, lam_k in rows:
         if any(column) and (column not in best or lam_k < best[column]):
             best[column] = lam_k
-    # ints over shared positive scales, and floats and Fractions, all compare
-    # exactly, so the rows sort as their values
+    # ints over shared positive scales compare as their values
     kept = sorted(best.items())
-    if scales is None:
-        slack = Fraction(FLOAT_TOL)
-        return False, *lp.int_rows([c for c, _ in kept], [as_fraction(r) + slack for _, r in kept])
-    scale, lam_scale = scales
-    den = scale * lam_scale
-    return True, [[v * lam_scale for v in c] for c, _ in kept], [(r * scale, den) for _, r in kept]
+    # c/L . Q <= r/D + s/t, times L * D * t; s is 0 and t is 1 in exact mode
+    s, t = (as_fraction(tol) * share).as_integer_ratio()
+    coef, unit, lift, den = lam_scale * t, scale * t, s * scale * lam_scale, scale * lam_scale * t
+    a_ub = [[v * coef for v in c] for c, _ in kept]
+    return not tol, a_ub, [(r * unit + lift, den) for _, r in kept]
 
 
 def _measure_over_rules(
@@ -279,10 +268,15 @@ def _measure_over_rules(
 
 
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
-    """Some admissible Q, or None when the identified set is empty."""
+    """Some admissible Q, or None when the identified set is empty.  Float
+    mode solves at half the tolerance first, so that the point, which lies on
+    some rows, stays within them once rounded to floats."""
     m = len(problem.rules)
-    exact, a_ub, b_ub = _lp_rows(problem)
-    point = lp.feasible_point(a_ub, b_ub, [[1] * m], [(1, 1)], m)
+    for share in (Fraction(1, 2), 1):
+        exact, a_ub, b_ub = _lp_rows(problem, share)
+        point = lp.feasible_point(a_ub, b_ub, [[1] * m], [(1, 1)], m)
+        if point is not None or exact:
+            break
     if point is None:
         return None
     return _measure_over_rules(problem, point, exact)

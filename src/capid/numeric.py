@@ -1,15 +1,14 @@
 """Number handling for the two arithmetic modes.
 
-Exact mode works on :class:`fractions.Fraction` (and ints) and compares with
-zero tolerance.  Float mode keeps IEEE doubles and compares with an absolute
-tolerance of 1e-9.  A value collection is "exact" when every member is a
-Fraction or an int; mixing a single float switches all comparisons on that
-object to the toleranced versions.
+Exact mode works on :class:`fractions.Fraction` (and ints) with zero
+tolerance; float mode keeps IEEE doubles with an absolute tolerance of 1e-9.
+A value collection is "exact" when every member is a Fraction or an int.
 
-The hot exact scans do not add or compare Fractions one by one, since each
-Fraction operation pays a gcd: ``int_numerators`` puts a collection over one
-common denominator, and the scans compare the int numerators, whose order is
-the values' order.
+The scans behind every decision compare no Fraction or float: in both modes
+``int_numerators`` puts a collection over one common denominator, a float at
+its exact binary value, and the scans compare the int numerators, with the
+tolerance as one int shift (``tol_shift``).  ``ge`` and ``eq`` validate the
+parsed values themselves.
 """
 
 from __future__ import annotations
@@ -63,9 +62,18 @@ def fold_sum(values: Iterable[Num]) -> Num:
 
 
 def int_numerators(values: Sequence[Num]) -> tuple[tuple[int, ...], int]:
-    """Exact values as int numerators over the lcm of their denominators."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+    """The values as int numerators over the lcm of their denominators; a
+    float counts at its exact binary value."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*{den for _, den in ratios})
+    return tuple(num * (scale // den) for num, den in ratios), scale
+
+
+def tol_shift(tol: Num, scale: int) -> int:
+    """floor(tol * scale): an int difference of numerators over ``scale`` is
+    at most tol exactly when it is at most this shift."""
+    num, den = tol.as_integer_ratio()
+    return num * scale // den
 
 
 def ge(a: Num, b: Num, tol: Num) -> bool:

@@ -116,8 +116,9 @@ class KappaRange:
         cls, model: ExperimentModel, lo: Optional[Num] = None, hi: Optional[Num] = None
     ) -> "KappaRange":
         floor = model.kappa_floor
+        one = Fraction(1) if model.nu.is_exact else 1.0
         lo = floor if lo is None else max(lo, floor)
-        hi = Fraction(1) if hi is None else min(hi, Fraction(1))
+        hi = one if hi is None else min(hi, one)
         return cls(lo, hi)
 
     def contains(self, kappa: Num) -> bool:

@@ -10,12 +10,17 @@ kappa floor and pure-noise test by walking those vertices, lower envelopes by
 a minimum over the measures at every subset, and the specification
 capacities by their formulas at every subset, with the reference vectors
 summed anew each time.
+
+The ``float_scan_*`` functions are the float-mode monotonicity, convexity
+and belief scans as they ran before float mode decided on the values' int
+numerators: on the floats themselves, each sum rounded, up to FLOAT_TOL.
+Away from the 1e-9 edge their verdicts are the exact ones.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from capid.capacity import Capacity, Measure, is_convex, submasks
+from capid.capacity import Capacity, Measure, _moebius, carrier_masks, is_convex, submasks
 from capid.errors import NotConvexError, ValidationError
 from capid.info_specs import (
     Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
@@ -208,3 +213,36 @@ def literal_from_measure(p, carrier=None):
         if carrier == 0:
             carrier = p.ground.full_mask
     return Capacity(p.ground, values, carrier)
+
+
+def float_scan_monotone(ground, values, carrier):
+    """The first (subset, label index) of the carrier at which adding the
+    label lowers the float value by more than FLOAT_TOL, or None."""
+    active = ground.full_mask if carrier is None else carrier
+    for mask in carrier_masks(active):
+        for i in range(ground.size):
+            bit = 1 << i
+            if active & bit and not mask & bit:
+                if not ge(values[mask | bit], values[mask], FLOAT_TOL):
+                    return mask, i
+    return None
+
+
+def float_scan_convex(nu):
+    """Local supermodularity on the carrier's subsets, on the floats."""
+    values, active = nu.values, nu.active
+    bits = [1 << i for i in range(nu.ground.size) if active >> i & 1]
+    return all(
+        ge(values[mask | bit_i | bit_j] + values[mask],
+           values[mask | bit_i] + values[mask | bit_j], FLOAT_TOL)
+        for a, bit_i in enumerate(bits)
+        for bit_j in bits[a + 1:]
+        for mask in submasks(active & ~(bit_i | bit_j))
+    )
+
+
+def float_scan_belief(nu):
+    """The Moebius masses of the carrier's subsets, transformed on the
+    floats, all at least -FLOAT_TOL."""
+    restricted = [nu.values[mask] for mask in carrier_masks(nu.active)]
+    return all(ge(m, 0, FLOAT_TOL) for m in _moebius(restricted, nu.active.bit_count()))

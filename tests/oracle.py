@@ -143,16 +143,17 @@ def _dominance_verdict(
 
 
 def _constraint_rows(
-    ground: GroundSet, lam: Measure, capacities: Sequence[Capacity]
+    ground: GroundSet, lam: Measure, capacities: Sequence[Capacity], share: F = F(1)
 ) -> list[tuple[tuple[F, ...], F]]:
     """Dominance inequalities as LP rows ``coeffs . Q <= rhs``, one per subset.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
     smallest right-hand side; both are pure reductions of the same feasible set.
-    In float mode right-hand sides gain the standard feasibility slack.
+    In float mode right-hand sides gain ``share`` of the standard feasibility
+    slack.
     """
     exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
-    slack = F(0) if exact else F(FLOAT_TOL)
+    slack = F(0) if exact else F(FLOAT_TOL) * share
     best: dict[tuple[F, ...], F] = {}
     for mask in ground.masks():
         coeffs = tuple(as_fraction(c.values[mask]) for c in capacities)

@@ -9,6 +9,7 @@ the float tolerance never decides a verdict).
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,9 @@ import pytest
 import gen
 from capacity_oracle import (
     brute_force_convex,
+    float_scan_belief,
+    float_scan_convex,
+    float_scan_monotone,
     inclusion_exclusion,
     literal_core_vertices,
     literal_from_measure,
@@ -38,6 +42,7 @@ from capid import (
 from capid.capacity import (
     _dedupe_measures, _moebius, carrier_masks, is_belief_function, is_convex,
 )
+from capid.numeric import FLOAT_TOL
 from capid.updating import ExperimentModel, OddsGrid
 from helpers import capacity_from_mobius, zeta
 
@@ -325,6 +330,85 @@ class TestCoreVertices:
                 for a in got for b in got
             )
         assert merged >= 200 and near >= 100
+
+
+class TestFloatScans:
+    """Float capacities decide monotonicity, convexity and the belief test
+    on the floats' exact binary values, with the tolerance as one int shift.
+    Away from the 1e-9 edge that is what the float scans decided; within an
+    ulp of it the exact values decide."""
+
+    def test_match_the_float_scans_away_from_the_edge(self):
+        # a belief function in floats, one carrier value nudged by an offset
+        # on either side of the tolerance: its many tight inequalities then
+        # hold, hold within the tolerance, or fail by more than it
+        rng = random.Random(20261019)
+        seen = Counter()
+        offsets = (-3e-9, -1.5e-9, -5e-10, 5e-10, 1.5e-9, 3e-9)
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            ground = GroundSet.of(LABELS[:n])
+            carrier = rng.randint(1, ground.full_mask) if rng.random() < 0.5 else None
+            active = ground.full_mask if carrier is None else carrier
+            k = active.bit_count()
+            if k < 2:
+                continue
+            on_carrier = [float(v) for v in random_values_on(rng, k, "belief")]
+            on_carrier[rng.randrange(1, (1 << k) - 1)] += rng.choice(offsets)
+            values = tuple(spread(on_carrier, active, n))
+            first = float_scan_monotone(ground, values, carrier)
+            try:
+                nu = Capacity(ground, values, carrier)
+            except ValidationError as exc:
+                mask, i = first
+                assert str(exc) == (
+                    f"capacity not monotone at {ground.subset_key(mask)} + {ground.labels[i]!r}"
+                )
+                seen["not_monotone"] += 1
+                continue
+            assert first is None
+            verdicts = (is_convex(nu), is_belief_function(nu))
+            assert verdicts == (float_scan_convex(nu), float_scan_belief(nu))
+            seen[verdicts] += 1
+        assert seen["not_monotone"] >= 50 and seen[True, True] >= 50, seen
+        assert seen[False, False] >= 50 and seen[True, False] >= 10, seen
+
+    def test_monotone_one_ulp_around_the_edge(self):
+        # nu(x, y) against nu(x) = 0.5: the float nearest 0.5 - 1e-9 lies
+        # below it, so it fails as the float below it does; the float scan
+        # rounded 0.5 - 1e-9 to that same float and accepted it
+        ground = GroundSet.of("xyz")
+        edge = 0.5 - FLOAT_TOL
+        assert F(edge) < F(0.5) - F(FLOAT_TOL)
+        for value, monotone in (
+            (math.nextafter(edge, 0), False), (edge, False), (math.nextafter(edge, 1), True),
+        ):
+            values = (0.0, 0.5, 0.0, value, 0.0, 0.5, 0.0, 1.0)
+            assert monotone == (F(value) >= F(0.5) - F(FLOAT_TOL))
+            assert (float_scan_monotone(ground, values, None) is None) == (value >= edge)
+            if monotone:
+                Capacity(ground, values)
+            else:
+                with pytest.raises(ValidationError, match="not monotone at x \\+ 'y'"):
+                    Capacity(ground, values)
+
+    def test_convex_and_belief_one_ulp_around_the_edge(self):
+        # on two labels both tests ask whether nu(x) + nu(y) is at most
+        # 1 + 1e-9; with nu(x) = 0.5 the float nearest 0.5 + 1e-9 lies below
+        # that edge, so it passes and the float above it fails.  The float
+        # scans rounded their sums differently and split on that float.
+        ground = GroundSet.of("xy")
+        edge = float(F(0.5) + F(FLOAT_TOL))
+        assert F(edge) < F(0.5) + F(FLOAT_TOL)
+        for value, convex, float_scans in (
+            (math.nextafter(edge, 0), True, (True, True)),
+            (edge, True, (True, True)),
+            (math.nextafter(edge, 1), False, (True, False)),
+        ):
+            nu = Capacity(ground, (0.0, 0.5, value, 1.0))
+            assert convex == (F(0.5) + F(value) - F(FLOAT_TOL) <= 1)
+            assert is_convex(nu) == is_belief_function(nu) == convex
+            assert (float_scan_convex(nu), float_scan_belief(nu)) == float_scans
 
 
 class TestValidation:

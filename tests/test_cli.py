@@ -165,8 +165,8 @@ class TestFloatWitness:
         self.assert_witness(report, doc, q, 1e-9)
 
     def test_witness_of_the_float_exists_answer(self, capsys, tmp_path):
-        # float exists puts 0.600000001 on a>b>c, whose core is the point mass
-        # on a, so the mix-back misses lambda(a) = 0.6 by almost the full
+        # float exists puts 0.6000000005 on a>b>c, whose core is the point
+        # mass on a, so the mix-back misses lambda(a) = 0.6 by half the
         # tolerance that the dominance check allows
         doc, path = self.float_doc(tmp_path, {"a": 0.6, "b": 0.3, "c": 0.1})
         code, report = run(capsys, "exists", "--input", path, "--mode", "float")
@@ -494,6 +494,21 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert report["result"]["interval"] == {"lo": 0.5, "hi": 0.5}
         assert report["result"]["diagnosis"] == "underreaction"
+
+    def test_default_upper_end_in_each_mode(self, capsys, tmp_path):
+        # lambda all on the prior admits only kappa = 1, the default upper
+        # end of the range, which each mode prints as its own number
+        doc = json.loads(Path(UPDATING).read_text())
+        doc["lambda"] = {"-1": 0, "0": 1, "1": 0}
+        del doc["kappa_range"]
+        path = tmp_path / "prior_only.json"
+        path.write_text(json.dumps(doc))
+        for mode, one in (("exact", "1"), ("float", 1.0)):
+            code, report = run(capsys, "identify-kappa", "--input", str(path), "--mode", mode)
+            assert code == 0
+            interval = report["result"]["interval"]
+            assert interval == {"lo": one, "hi": one}
+            assert type(interval["lo"]) is type(interval["hi"]) is type(one)
 
 
 def _field_paths(node, prefix=()):

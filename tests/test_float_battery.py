@@ -46,6 +46,28 @@ def _digests(index: int, workdir: Path) -> dict[str, str]:
     return out
 
 
+def test_every_float_exists_answer_passes_float_check(tmp_path):
+    """The Q a float ``exists`` report prints, read back as ``check``'s
+    ``--q``, rationalizes the document in float mode: the LP's point keeps
+    clear of the tolerance that ``check`` allows."""
+    feasible = 0
+    report = tmp_path / "report.json"
+    for index in range(DOCUMENTS):
+        doc, _ = gen.random_problem_doc(random.Random(SEED + index), floats=True)
+        path = tmp_path / f"doc-{index:03d}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        args = ["--input", str(path), "--output", str(report), "--mode", "float"]
+        assert main(["exists", *args]) == 0
+        result = json.loads(report.read_text())["result"]
+        if not result["feasible"]:
+            continue
+        feasible += 1
+        q = result["q"]
+        assert main(["check", *args, "--q", json.dumps(q)]) == 0
+        assert json.loads(report.read_text())["result"]["verdict"]["rationalizes"], index
+    assert feasible == 81
+
+
 @pytest.mark.parametrize("index", range(DOCUMENTS))
 def test_reports_match_recorded_digests(index, tmp_path):
     expected = json.loads(GOLDEN.read_text())

@@ -1,13 +1,15 @@
-"""Differential tests for the integer scans of exact mode.
+"""Differential tests for the integer scans of both modes.
 
-Exact capacities, lambda and Q are scanned as int numerators over common
+Capacities, lambda and Q are scanned as int numerators over common
 denominators.  Here every capacity, lambda and Q gets its own prime
 denominator near 10^6, so the common denominators are products of distinct
 large primes, and some values are ints rather than Fractions.  The verdicts
 and LP rows must equal the per-subset Fraction code in ``oracle`` by
-``repr``; ``is_convex`` and the constructor's monotonicity check must agree
-with literal Fraction scans on capacities one numerator unit away from a
-convex, monotone one.
+``repr``, and so must those of the same problems with every value rounded
+to a float, against the per-subset float scan; ``is_convex`` and the
+constructor's monotonicity check must agree with literal Fraction scans on
+capacities one numerator unit away from a convex, monotone one.  At one
+ulp around the 1e-9 edge, a float verdict follows the exact shortfall.
 """
 
 import math
@@ -25,6 +27,7 @@ from capid.identification import (
     _lp_rows,
     check_rationalizes,
 )
+from capid.numeric import FLOAT_TOL
 from helpers import capacity_from_mobius
 from lp_oracle import fraction_rows
 
@@ -141,6 +144,69 @@ def test_verdicts_and_rows_match_the_fraction_code():
     assert seen["over_cap"] >= 10 and seen["int_shortfall"] >= 3, seen
 
 
+def _rounded(problem, q):
+    """The problem and Q with every value rounded to a float."""
+    ground = problem.ground
+    rules = tuple(
+        ProblemRule(r.rule_id, r.carrier, Capacity(
+            ground, tuple(map(float, r.capacity.values)), r.capacity.carrier
+        ))
+        for r in problem.rules
+    )
+    lam = Measure(ground, tuple(map(float, problem.data.weights)))
+    q = Measure(q.ground, tuple(map(float, q.weights)))
+    return IdentificationProblem(ground, rules, lam), q
+
+
+def test_float_verdicts_and_rows_match_the_float_code():
+    """The same problems in floats: the float numerators' scales are powers
+    of two, and when lambda mixes core members, many rows that were tight
+    miss by a rounding error, far inside the tolerance."""
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(CASES):
+        problem, q = _rounded(*_problem(rng))
+        ground, lam = problem.ground, problem.data
+        caps = [r.capacity for r in problem.rules]
+        rule_ground = problem.rule_ground()
+        first = rng.randrange(len(caps))
+        for weights in (q, Measure.point(rule_ground, f"r{first}")):
+            new = check_rationalizes(problem, weights)
+            old = oracle._dominance_verdict(ground, lam, caps, list(weights.weights))
+            assert repr(new) == repr(old)
+            seen["pass" if new.rationalizes else "fail"] += 1
+            seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
+        for share in (1, F(1, 2)):
+            exact, a_ub, b_ub = _lp_rows(problem, share)
+            lp_rows = (exact, fraction_rows(a_ub, b_ub))
+            literal = oracle._constraint_rows(ground, lam, caps, F(share))
+            assert repr(lp_rows) == repr((False, literal))
+    assert seen["pass"] >= 100 and seen["fail"] >= 50, seen
+    assert seen["over_cap"] >= 10, seen
+
+
+def test_float_verdict_one_ulp_around_the_edge():
+    """Q = (0.3, 0.7) on point masses at x and at y puts exactly 0.3 on x.
+    A lambda(x) one ulp either side of the float nearest 0.3 - 1e-9 passes
+    exactly when the exact shortfall 0.3 - lambda(x) is at most the binary
+    value of 1e-9; the nearest float itself lies just below 0.3 - 1e-9."""
+    ground = GroundSet.of("xy")
+    rules = (
+        ProblemRule("r0", 1, Capacity(ground, (0.0, 1.0, 0.0, 1.0), 1)),
+        ProblemRule("r1", 2, Capacity(ground, (0.0, 0.0, 1.0, 1.0), 2)),
+    )
+    q = Measure(GroundSet.of(("r0", "r1")), (0.3, 0.7))
+    edge = float(F(0.3) - F(FLOAT_TOL))
+    assert F(edge) < F(0.3) - F(FLOAT_TOL)
+    outcomes = []
+    for lam_x in (math.nextafter(edge, 0), edge, math.nextafter(edge, 1)):
+        problem = IdentificationProblem(ground, rules, Measure(ground, (lam_x, 1 - lam_x)))
+        verdict = check_rationalizes(problem, q)
+        assert verdict.rationalizes == (F(0.3) - F(lam_x) <= F(FLOAT_TOL))
+        outcomes.append(verdict.rationalizes)
+    assert outcomes == [False, False, True]
+
+
 def _literal_monotone_violation(ground, values, carrier):
     """The message for the first label whose addition lowers the value, over
     the carrier's subsets in increasing order, compared as Fractions."""
@@ -188,3 +254,19 @@ def test_one_unit_off_capacities_match_the_literal_scans():
         assert convex == brute_force_convex(nu)
         seen["convex" if convex else "not_convex"] += 1
     assert min(seen["convex"], seen["not_convex"], seen["not_monotone"]) >= 60, seen
+
+
+def test_float_capacity_carried_within_the_tolerance_keeps_its_own_values():
+    """A float capacity read from a document is constant across its carrier
+    only up to the tolerance: nu(x, z) here is nu(x) + 5e-10.  Its int view
+    holds every mask's own value, so the rows are those of the values."""
+    ground = GroundSet.of("xyz")
+    nu = Capacity(ground, (0.0, 0.25, 0.25, 1.0, 0.0, 0.25 + 5e-10, 0.25, 1.0), 0b011)
+    nums, scale = nu.int_view
+    assert [F(v, scale) for v in nums] == [F(v) for v in nu.values]
+    ignorance = Capacity(ground, (0.0,) * 7 + (1.0,))
+    rules = (ProblemRule("r0", 0b011, nu), ProblemRule("r1", 0b111, ignorance))
+    problem = IdentificationProblem(ground, rules, Measure(ground, (0.25, 0.5, 0.25)))
+    exact, a_ub, b_ub = _lp_rows(problem)
+    literal = oracle._constraint_rows(ground, problem.data, [nu, ignorance])
+    assert (exact, fraction_rows(a_ub, b_ub)) == (False, literal)

@@ -79,10 +79,13 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["pass" if new.rationalizes else "fail"] += 1
 
-        # the LP rows, read as Fractions, and the arithmetic mode
-        lp_exact, a_ub, b_ub = _lp_rows(problem)
-        lp_rows = (lp_exact, fraction_rows(a_ub, b_ub))
-        assert repr(lp_rows) == repr((exact, oracle._constraint_rows(ground, lam, caps)))
+        # the LP rows, read as Fractions, and the arithmetic mode, with the
+        # float slack in full and halved, as exists first tries it
+        for share in (1, F(1, 2)):
+            lp_exact, a_ub, b_ub = _lp_rows(problem, share)
+            lp_rows = (lp_exact, fraction_rows(a_ub, b_ub))
+            literal = oracle._constraint_rows(ground, lam, caps, F(share))
+            assert repr(lp_rows) == repr((exact, literal))
 
     assert seen["exact"] >= 100 and seen["float"] >= 100
     assert seen["over_cap"] >= 20, seen
