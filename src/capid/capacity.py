@@ -242,7 +242,9 @@ class Measure(Record):
     ) -> "Measure":
         """A measure whose weights capid computed from validated inputs, built
         without the checks: an LP solution over the probability simplex, the
-        per-rule parts of a decomposition, or such a part moved onto menus."""
+        per-rule parts of a decomposition, or such a part moved onto menus,
+        and the core vertices of a convex capacity, whose weights are its
+        increments along an ordering."""
         m = object.__new__(cls)
         m.__dict__.update(ground=ground, weights=weights, carrier=carrier)
         return m
@@ -532,7 +534,7 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
                 key = (vector, not all_exact(vector)) if mixed else vector
                 level.setdefault(key, vector)
         tails[prefix] = list(level.values())
-    return tuple(_dedupe_measures(Measure(ground, v, active) for v in tails[0]))
+    return tuple(_dedupe_measures(Measure._derived(ground, v, active) for v in tails[0]))
 
 
 def decompose_in_mixture_core(
@@ -674,4 +676,4 @@ def _ascending_marginal_vector(nu: Capacity) -> Measure:
         if nu.active >> i & 1:
             weights[i] = nu.values[prefix | 1 << i] - nu.values[prefix]
             prefix |= 1 << i
-    return Measure(nu.ground, tuple(weights), nu.active)
+    return Measure._derived(nu.ground, tuple(weights), nu.active)

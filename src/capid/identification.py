@@ -16,14 +16,15 @@ is linear programming or exact vertex enumeration:
 * ``check_menu_homogeneous`` additionally forces a single menu distribution
   shared by all rules.
 
-The verdicts and the LP rows all come from one source, ``_dominance_rows``,
-whose rows are ints in both modes: the capacities' values over one common
-denominator and lambda's subset sums (summed as floats in float mode) over
-another, a float at its exact binary value.  The verdict scan compares int
-dot products, and the LP rows are deduplicated and sorted as int tuples and
-reach the LP kernel, for the simplex and vertex enumeration alike, as ints
-in its row form.  Float mode's 1e-9 tolerance is one int shift in the scan
-and an exact slack on the rows' right-hand sides.
+The verdicts and the LP rows, and ``updating``'s average-bias answers, all
+come from one source, ``_dominance_rows``, whose rows are ints in both
+modes: the capacities' values over one common denominator and lambda's
+subset sums (summed as floats in float mode) over another, a float at its
+exact binary value.  The verdict scan compares int dot products, and the LP
+rows are deduplicated and sorted as int tuples and reach the LP kernel, for
+the simplex and vertex enumeration alike, as ints in its row form, as do
+``check_menu_homogeneous``'s rows.  Float mode's 1e-9 tolerance is one int
+shift in the scan and an exact slack on the rows' right-hand sides.
 """
 
 from __future__ import annotations
@@ -410,29 +411,29 @@ def check_menu_homogeneous(
         raise ValidationError("data lives on a different ground set")
     k = len(collection.menus)
     exact = all_exact(lam.weights) and all_exact(q.weights)
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for i, label in enumerate(ground.labels):
-        row = [Fraction(0)] * k
-        for rule in rules:
-            qd = as_fraction(q.weight(rule.rule_id))
-            for j, choice in enumerate(rule.choices):
-                if choice == label:
-                    row[j] += qd
-        a_eq.append(row)
-        b_eq.append(as_fraction(lam.weights[i]))
-    a_eq.append([Fraction(1)] * k)
-    b_eq.append(Fraction(1))
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    if not exact:
+    # alternative a's row holds, at menu j, the Q-weight of the rules that
+    # pick a there, and its right-hand side is lambda(a): Q as ints over W,
+    # lambda over D and the tolerance as s over t, all put over W * D * t
+    w_nums, w_scale = int_numerators([q.weight(rule.rule_id) for rule in rules])
+    lam_nums, lam_scale = int_numerators(lam.weights)
+    s, t = (ZERO if exact else FLOAT_TOL).as_integer_ratio()
+    den = w_scale * lam_scale * t
+    rows = [
+        [sum(w for w, r in zip(w_nums, rules) if r.choices[j] == label) * lam_scale * t
+         for j in range(k)]
+        for label in ground.labels
+    ]
+    targets = [v * w_scale * t for v in lam_nums]
+    if exact:
+        a_ub, b_ub = [], []
+        a_eq, b_eq = rows + [[1] * k], [(v, den) for v in targets] + [(1, 1)]
+    else:
         # relax the per-alternative equalities into a +/- tolerance band
-        a_ub = [row[:] for row in a_eq[:-1]] + [[-v for v in row] for row in a_eq[:-1]]
-        b_ub = [v + Fraction(FLOAT_TOL) for v in b_eq[:-1]] + [
-            Fraction(FLOAT_TOL) - v for v in b_eq[:-1]
-        ]
-        a_eq, b_eq = [a_eq[-1]], [b_eq[-1]]
-    point = lp.feasible_point(*lp.int_rows(a_ub, b_ub), *lp.int_rows(a_eq, b_eq), k)
+        band = s * w_scale * lam_scale
+        a_ub = rows + [[-v for v in row] for row in rows]
+        b_ub = [(v + band, den) for v in targets] + [(band - v, den) for v in targets]
+        a_eq, b_eq = [[1] * k], [(1, 1)]
+    point = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, k)
     if point is None:
         return None
     weights = tuple(w if exact else float(w) for w in point)

@@ -39,19 +39,20 @@ pair (right-hand side numerator, positive row denominator), and likewise for
 the equalities.  A row may be over any common denominator and carry any
 positive factor: the simplex divides it by the gcd of its entries, and
 double description reads only the signs of its slacks and their ratios.
-Callers that hold int numerators build the rows from them; rows of Fractions
-or floats go through ``int_rows``, which puts each row over its least common
-denominator (the binary value of a double is exact).  Float callers relax
-inequality right-hand sides by their tolerance first.  The objectives may be
-ints, Fractions or floats and are converted the same way.  Points, vertices
-and objective values come back as Fractions.
+Every caller builds its rows from int numerators it already holds, a float
+at its exact binary value; float callers put their tolerance on inequality
+right-hand sides as an exact slack.  The objectives may be ints, Fractions
+or floats, and ``numeric.int_numerators`` puts each over its least common
+denominator.  Points, vertices and objective values come back as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Optional, Sequence
+
+from .numeric import int_numerators
 
 Row = Sequence[Fraction]
 #: Constraints in the kernel's row form: each row's int numerators, and its
@@ -81,21 +82,6 @@ class LpResult:
 
     def __repr__(self) -> str:
         return f"LpResult(status={self.status!r}, x={self.x!r}, objective={self.objective!r})"
-
-
-def _int_row(values: Row) -> list[int]:
-    """The values as integer numerators followed by their least common
-    denominator."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs] + [den]
-
-
-def int_rows(a: Sequence[Row], b: Row) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """The constraints ``a[i] . x <= b[i]`` (or ``=``), with values of any
-    exact or float type, in the kernel's row form."""
-    rows = [_int_row([*arow, rhs]) for arow, rhs in zip(a, b)]
-    return [row[:-2] for row in rows], [(row[-2], row[-1]) for row in rows]
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -285,7 +271,7 @@ def _phase1(
 def _phase2(c: Row, rows: list[list[int]], basis: list[int], nonbasic: list[int]) -> LpResult:
     """Minimize ``c.x`` from the feasible basis, which is left unchanged."""
     n = len(c)
-    *cost, den = _int_row(c)
+    cost, den = int_numerators(c)
     objective = _objective(lambda var: cost[var] if var < n else 0, den, rows, basis, nonbasic)
     tableau = rows + [objective]
     basis = basis[:]

@@ -13,21 +13,26 @@ reduces to a one-dimensional question: ``rationalizing_kappa_interval``
 intersects one linear inequality per subset of odds values and reports the
 exact interval of admissible average biases, plus a diagnosis of which way
 the data deviates from pure-noise-free updating.
+
+The kappa-updated capacity is the (1 - kappa, kappa) mixture of Bayesian
+updating under nu and full inertia on the prior, so both answers read that
+pair's int dominance rows (``identification._dominance_rows``), float mode's
+tolerance as one int shift; the endpoints are exact quotients of the ints,
+which float mode rounds to doubles once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 # core_vertices is no longer called here, but perfbench/tracing.py rebinds
 # capid.updating.core_vertices, so the name stays importable from this module
-from .capacity import (  # noqa: F401
-    Capacity, GroundSet, Measure, core_vertices, is_convex, mass_table,
-)
+from .capacity import Capacity, GroundSet, Measure, core_vertices, is_convex  # noqa: F401
 from .errors import ValidationError
-from .identification import Verdict, dominance_verdict
-from .numeric import Num, ge, tol_for
+from .identification import Verdict, _dominance_rows, dominance_verdict
+from .numeric import Num, as_fraction, tol_shift
 
 
 class OddsGrid:
@@ -99,6 +104,12 @@ class ExperimentModel:
         null = self.nu.values[1 << self.grid.null_signal_index]
         return -null / (1 - null)
 
+    @cached_property
+    def inertia(self) -> Capacity:
+        """The full-inertia rule's capacity: 1 on every subset that holds
+        the prior (the null signal), 0 elsewhere."""
+        return Capacity._derived(self.nu.ground, (0, 1), 1 << self.grid.null_signal_index)
+
 
 class KappaRange:
     """Admissible bias interval, clipped to [model floor, 1]."""
@@ -125,35 +136,20 @@ class KappaRange:
         return self.lo <= kappa <= self.hi
 
 
-def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capacity:
-    """Capacity whose core is the set of kappa-updated posterior distributions.
-
-    Values blend the experiment capacity of the recentred subset with the
-    indicator of the prior's membership; this stays convex for every kappa in
-    the admissible range, negative values included.
-    """
-    if not KappaRange.for_model(model).contains(kappa):
-        raise ValidationError(f"kappa {kappa} outside the admissible range")
-    prior_mask = grid.prior_mask
-    values = tuple(
-        (1 - kappa) * model.nu.values[mask] + (kappa if mask & prior_mask else 0)
-        for mask in grid.ground.masks()
-    )
-    return Capacity(grid.ground, values)
-
-
 def check_average_bias(
     lam: Measure, model: ExperimentModel, grid: OddsGrid, kappa_av: Num
 ) -> Verdict:
-    """Dominance verdict at a single average bias.
+    """Dominance verdict at a single average bias: the mixture of Bayesian
+    updating and full inertia at weights (1 - kappa, kappa).
 
     Rationalizability by any rule mix depends only on the mean kappa, so this
     one check settles every mix with that mean.
     """
     if lam.ground != grid.ground:
         raise ValidationError("data must live on the odds grid")
-    nu_k = biased_capacity(kappa_av, model, grid)
-    return dominance_verdict(lam, [nu_k], [Fraction(1)])
+    if not KappaRange.for_model(model).contains(kappa_av):
+        raise ValidationError(f"kappa {kappa_av} outside the admissible range")
+    return dominance_verdict(lam, [model.nu, model.inertia], [1 - kappa_av, kappa_av])
 
 
 class KappaSolution:
@@ -193,47 +189,46 @@ def rationalizing_kappa_interval(
 
     Every subset K yields ``lam(K) >= (1-kappa) nu(K recentred) + kappa [prior in K]``,
     a half-line in kappa; the admissible interval is their intersection with
-    the model range.
+    the model range.  With nu(K) and the inertia value as N and I over L and
+    lam(K) as Lam over D, the row is ``kappa (I - N) D <= Lam L - N D``, all
+    over L D.  An endpoint that no row tightens is the range's own object.
     """
     if lam.ground != grid.ground:
         raise ValidationError("data must live on the odds grid")
     krange = KappaRange.for_model(model) if krange is None else KappaRange.for_model(
         model, krange.lo, krange.hi
     )
-    tol = tol_for(lam.weights, model.nu.values)
-    prior_mask = grid.prior_mask
-    lo: Num = krange.lo
-    hi: Num = krange.hi
+    tol, (scale, lam_scale), rows = _dominance_rows(lam, [model.nu, model.inertia])
+    shift = tol_shift(tol, scale * lam_scale)
+    lo, hi = krange.lo, krange.hi
     empty = False
     under: list[int] = []
     over: list[int] = []
-    for mask, (base, lam_k) in enumerate(zip(model.nu.values, mass_table(lam.weights))):
-        in_prior = 1 if mask & prior_mask else 0
-        if lam_k < base - tol:
+    for mask, (base, inert), lam_k in rows:
+        coeff = (inert - base) * lam_scale
+        slack = lam_k * scale - base * lam_scale
+        below = -slack > shift
+        if below:
             # data falls below the zero-bias floor on this subset
-            (over if in_prior else under).append(mask)
-        coeff = in_prior - base
-        slackv = lam_k - base
-        if coeff > tol:
-            bound = slackv / coeff
-            if bound < hi:
-                hi = bound
-        elif coeff < -tol:
-            bound = slackv / coeff
-            if bound > lo:
-                lo = bound
-        elif slackv < -tol:
-            empty = True
-    if not empty and lo > hi + tol:
+            (over if inert else under).append(mask)
+        if coeff > shift:
+            hi = min(hi, Fraction(slack, coeff))
+        elif -coeff > shift:
+            lo = max(lo, Fraction(slack, coeff))
+        else:
+            empty = empty or below
+    if not empty and as_fraction(lo) - as_fraction(hi) > tol:
         empty = True
     if empty:
         return KappaSolution(True, None, None, "impossible", tuple(under), tuple(over))
     if lo > hi:
         hi = lo
-    if ge(0, lo, tol) and ge(hi, 0, tol):
+    if lo <= tol and hi >= -tol:
         diagnosis = "bayesian-feasible"
     elif lo > 0:
         diagnosis = "underreaction"
     else:
         diagnosis = "overreaction"
+    if tol:
+        lo, hi = float(lo), float(hi)
     return KappaSolution(False, lo, hi, diagnosis, tuple(under), tuple(over))

@@ -3,14 +3,14 @@
 import random
 from fractions import Fraction as F
 
-from capid import Capacity, GroundSet, Measure, ValidationError, is_convex
+from capid import Capacity, GroundSet, Measure, ValidationError, core_vertices, is_convex
 from capid.info_specs import (
     Contamination,
     Ignorance,
     IntervalBelief,
     VariationNeighborhood,
 )
-from helpers import capacity_from_mobius
+from helpers import apply_update_rule, capacity_from_mobius
 
 LABELS = "abcdef"
 LABELS_BIG = "abcdefgh"
@@ -170,3 +170,57 @@ def random_problem_doc(rng: random.Random, floats: bool, labels=LABELS, lo=2, hi
     }
     q_doc = {rid: w for rid, w in zip(ids, q.weights)}
     return _json_numbers(doc, floats), _json_numbers(q_doc, floats)
+
+
+def random_updating_doc(rng: random.Random, lo=2, hi=4) -> dict:
+    """A seeded updating document, as a JSON object with exact numbers.
+
+    The grid is consecutive ints with the prior drawn from it, and the
+    experiment capacity is a ``random_convex_capacity`` on the recentred grid
+    that admits no pure-noise experiment.  Half the documents update a random
+    mixture of its core vertices at a bias drawn between the model floor and
+    1, so lambda lies on the identified set; the others draw lambda at
+    random, mostly off it.  About 30% carry a ``kappa_range`` inside
+    [floor, 1] with distinct ends.
+    """
+    from capid.schemas import capacity_json, measure_json
+    from capid.updating import ExperimentModel, OddsGrid
+
+    start = rng.randint(-3, 1)
+    values = [start + i for i in range(rng.randint(lo, hi))]
+    grid = OddsGrid.from_values(tuple(map(F, values)), F(rng.choice(values)))
+    while True:
+        nu = random_convex_capacity(rng, grid.shifted)
+        try:
+            model = ExperimentModel(grid, nu)
+        except ValidationError:
+            continue
+        break
+    floor = model.kappa_floor
+
+    def bias(step=None):
+        return floor + F(rng.randint(0, 8) if step is None else step, 8) * (1 - floor)
+
+    if rng.random() < 0.5:
+        verts = core_vertices(nu)
+        units = [rng.randint(0, 4) for _ in verts]
+        units[rng.randrange(len(units))] += 1
+        e = tuple(
+            sum(F(u, sum(units)) * v.weights[i] for u, v in zip(units, verts))
+            for i in range(grid.shifted.size)
+        )
+        lam = apply_update_rule(bias(), Measure(grid.shifted, e), grid)
+    else:
+        lam = random_measure(rng, grid.ground, random_carrier(rng, grid.ground, len(values)), 12)
+    doc = {
+        "schema": "capid/1",
+        "grid": values,
+        "prior": int(grid.prior),
+        "experiment_capacity": capacity_json(nu),
+        "lambda": measure_json(lam),
+    }
+    if rng.random() < 0.3:
+        # distinct ends: float mode computes the floor in floats, which may
+        # round above an end written at the exact floor
+        doc["kappa_range"] = [bias(step) for step in sorted(rng.sample(range(9), 2))]
+    return _json_numbers(doc, False)

@@ -4,12 +4,13 @@ The uniform measure on a mask, core membership, pointwise mixtures of
 capacities, the Moebius masses of a capacity and the capacity with given
 masses, pushforwards of capacities and measures along point maps, the
 cylindrical extension of a capacity on a carrier, the choice distribution a
-menu distribution induces under a decision rule, Bayes posteriors and the
-kappa-updated posteriors of the updating model, the average bias of a
-distribution over update rules, and maximizing and satisficing decision
-rules.  The tests use them to build inputs and to state the theory's facts
-(cores commute with pushforwards and mix linearly, the updating reduction),
-which the engine relies on without calling them.
+menu distribution induces under a decision rule, Bayes posteriors, the
+kappa-updated posteriors of the updating model and the capacity whose core
+they form, the average bias of a distribution over update rules, and
+maximizing and satisficing decision rules.  The tests use them to build
+inputs and to state the theory's facts (cores commute with pushforwards and
+mix linearly, the updating reduction), which the engine relies on without
+calling them.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from capid.capacity import Capacity, GroundSet, Label, Measure, _moebius, mass_t
 from capid.errors import ValidationError
 from capid.identification import DecisionRule, MenuCollection
 from capid.numeric import Num, eq, fold_sum, ge, tol_for
-from capid.updating import OddsGrid
+from capid.updating import ExperimentModel, KappaRange, OddsGrid
 
 
 def uniform(ground: GroundSet, mask: Optional[int] = None) -> Measure:
@@ -187,6 +188,23 @@ def apply_update_rule(kappa: Num, experiment: Measure, grid: OddsGrid) -> Measur
                 "below the admissible floor for this experiment"
             )
     return Measure(grid.ground, tuple(weights))
+
+
+def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capacity:
+    """Capacity whose core is the set of kappa-updated posterior distributions.
+
+    Values blend the experiment capacity of the recentred subset with the
+    indicator of the prior's membership; this stays convex for every kappa in
+    the admissible range, negative values included.
+    """
+    if not KappaRange.for_model(model).contains(kappa):
+        raise ValidationError(f"kappa {kappa} outside the admissible range")
+    prior_mask = grid.prior_mask
+    values = tuple(
+        (1 - kappa) * model.nu.values[mask] + (kappa if mask & prior_mask else 0)
+        for mask in grid.ground.masks()
+    )
+    return Capacity(grid.ground, values)
 
 
 def average_bias(q: Measure) -> Num:

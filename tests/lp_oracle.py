@@ -14,8 +14,9 @@ each new cut and keeps the candidates whose active constraints have full
 rank, by exact Gaussian elimination.  It must return the same vertex set as
 ``capid.lp.simplex_polytope_vertices``.
 
-Both oracles take rows of Fractions ``(coeffs, rhs)``; ``kernel_rows`` and
-``fraction_rows`` carry rows between that form and ``capid.lp``'s int rows.
+Both oracles take rows of Fractions ``(coeffs, rhs)``; ``int_rows``,
+``kernel_rows`` and ``fraction_rows`` carry rows between that form and
+``capid.lp``'s int rows.
 """
 
 from __future__ import annotations
@@ -23,10 +24,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from capid.lp import IntRows, LpResult, Row, Tails, int_rows
+from capid.lp import IntRows, LpResult, Row, Tails
+from capid.numeric import int_numerators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def int_rows(a: Sequence[Row], b: Row) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The constraints ``a[i] . x <= b[i]`` (or ``=``), with values of any
+    exact or float type, in ``capid.lp``'s row form: each row over its least
+    common denominator, a float at its exact binary value."""
+    rows = [int_numerators([*arow, rhs]) for arow, rhs in zip(a, b)]
+    return [list(nums[:-1]) for nums, _ in rows], [(nums[-1], den) for nums, den in rows]
 
 
 def kernel_rows(

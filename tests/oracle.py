@@ -17,16 +17,26 @@ of the dominance family that ``capid.identification._dominance_rows``
 replaced; each sums lambda over every subset on its own.
 ``_decomposition_rows`` builds the LP rows of
 ``capid.capacity.decompose_in_mixture_core`` as Fractions, one value at a
-time, as they were built before the kernel took int rows.
+time, as they were built before the kernel took int rows, and
+``_menu_homog_rows`` those of ``capid.identification.check_menu_homogeneous``.
+
+``kappa_interval_scan`` is the per-subset scan that
+``capid.updating.rationalizing_kappa_interval`` ran before it read the
+dominance rows: it pairs lambda's subset sums with the experiment
+capacity's values and decides on the values themselves, so in float mode on
+rounded floats, within the tolerance.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from capid.capacity import Capacity, GroundSet, Measure, submasks
-from capid.identification import MAX_REPORTED_VIOLATIONS, IdentificationProblem, Verdict
-from capid.numeric import FLOAT_TOL, Num, all_exact, as_fraction, fold_sum, tol_for
+from capid.capacity import Capacity, GroundSet, Measure, mass_table, submasks
+from capid.identification import (
+    MAX_REPORTED_VIOLATIONS, DecisionRule, IdentificationProblem, MenuCollection, Verdict,
+)
+from capid.numeric import FLOAT_TOL, Num, all_exact, as_fraction, fold_sum, ge, tol_for
+from capid.updating import ExperimentModel, KappaRange, KappaSolution, OddsGrid
 
 _ZERO = F(0)
 
@@ -220,3 +230,78 @@ def _decomposition_rows(
             band_rows += [(row, target + band), (tuple(-v for v in row), band - target)]
         systems.append((ub + band_rows, eq))
     return systems
+
+
+def _menu_homog_rows(
+    rules: Sequence[DecisionRule], collection: MenuCollection, lam: Measure, q: Measure
+) -> tuple[list[tuple[tuple[F, ...], F]], list[tuple[tuple[F, ...], F]]]:
+    """The (inequality rows, equality rows) of the LP ``check_menu_homogeneous``
+    solves, as Fractions (coefficients, right-hand side): one equality per
+    alternative and one for the total in exact mode; in float mode each
+    alternative's equality becomes a band of +/- the tolerance."""
+    k = len(collection.menus)
+    exact = all_exact(lam.weights) and all_exact(q.weights)
+    eq: list[tuple[tuple[F, ...], F]] = []
+    for i, label in enumerate(collection.ground.labels):
+        row = [F(0)] * k
+        for rule in rules:
+            qd = as_fraction(q.weight(rule.rule_id))
+            for j, choice in enumerate(rule.choices):
+                if choice == label:
+                    row[j] += qd
+        eq.append((tuple(row), as_fraction(lam.weights[i])))
+    total = (tuple([F(1)] * k), F(1))
+    if exact:
+        return [], eq + [total]
+    tol = F(FLOAT_TOL)
+    ub = [(row, rhs + tol) for row, rhs in eq] + [
+        (tuple(-v for v in row), tol - rhs) for row, rhs in eq
+    ]
+    return ub, [total]
+
+
+def kappa_interval_scan(
+    lam: Measure, model: ExperimentModel, grid: OddsGrid, krange: Optional[KappaRange] = None
+) -> KappaSolution:
+    """The admissible average biases, one subset at a time on the values:
+    ``lam(K) >= (1-kappa) nu(K) + kappa [prior in K]`` is a half-line in kappa
+    whose bound is the quotient of two differences, rounded in float mode."""
+    krange = KappaRange.for_model(model) if krange is None else KappaRange.for_model(
+        model, krange.lo, krange.hi
+    )
+    tol = tol_for(lam.weights, model.nu.values)
+    prior_mask = grid.prior_mask
+    lo: Num = krange.lo
+    hi: Num = krange.hi
+    empty = False
+    under: list[int] = []
+    over: list[int] = []
+    for mask, (base, lam_k) in enumerate(zip(model.nu.values, mass_table(lam.weights))):
+        in_prior = 1 if mask & prior_mask else 0
+        if lam_k < base - tol:
+            (over if in_prior else under).append(mask)
+        coeff = in_prior - base
+        slackv = lam_k - base
+        if coeff > tol:
+            bound = slackv / coeff
+            if bound < hi:
+                hi = bound
+        elif coeff < -tol:
+            bound = slackv / coeff
+            if bound > lo:
+                lo = bound
+        elif slackv < -tol:
+            empty = True
+    if not empty and lo > hi + tol:
+        empty = True
+    if empty:
+        return KappaSolution(True, None, None, "impossible", tuple(under), tuple(over))
+    if lo > hi:
+        hi = lo
+    if ge(0, lo, tol) and ge(hi, 0, tol):
+        diagnosis = "bayesian-feasible"
+    elif lo > 0:
+        diagnosis = "underreaction"
+    else:
+        diagnosis = "overreaction"
+    return KappaSolution(False, lo, hi, diagnosis, tuple(under), tuple(over))

@@ -31,7 +31,6 @@ from capid.simulate import synth_population
 from capid.updating import (
     ExperimentModel,
     OddsGrid,
-    biased_capacity,
     check_average_bias,
     rationalizing_kappa_interval,
 )
@@ -39,6 +38,7 @@ from helpers import (
     PreferenceOrder,
     apply_update_rule,
     average_bias,
+    biased_capacity,
     core_contains,
     mixture,
     rules_from_preferences,

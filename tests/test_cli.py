@@ -212,6 +212,15 @@ class TestIdentifyKappa:
         assert code == 0
         assert report["result"]["at_kappa"]["verdict"]["rationalizes"] is True
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_kappa_above_one_exits_2(self, capsys, mode):
+        code, report = run(
+            capsys, "identify-kappa", "--input", UPDATING, "--kappa=2", "--mode", mode
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+        assert "outside the admissible range" in report["error"]["message"]
+
 
 class TestCapacityAudit:
     def test_point_spec(self, capsys):

@@ -1,14 +1,15 @@
 """Objects capid builds without checks, against the checks they skip.
 
 ``Capacity._derived`` and ``Measure._derived`` build the capacities of the
-specification families and the measures that solve capid's linear programs
-without the validation that every object read from a document gets.  Each
-one they build while the CLI answers the golden fixtures and seeded
-``tests/gen`` documents in both modes, and while ``build_capacity`` builds
-point and explicit specifications, must pass the literal capacity axioms and
-pairwise supermodularity of ``capacity_oracle``, and agree on ``is_exact``
-and ``int_view`` with a copy built by the validating constructor.  Each
-measure must pass the ``Measure`` constructor.
+specification families and the updating model's inertia rule, and the
+measures that solve capid's linear programs and the core vertices of convex
+capacities, without the validation that every object read from a document
+gets.  Each one they build while the CLI answers the golden fixtures and
+seeded ``tests/gen`` documents in both modes, and while ``build_capacity``
+builds point and explicit specifications, must pass the literal capacity
+axioms and pairwise supermodularity of ``capacity_oracle``, and agree on
+``is_exact`` and ``int_view`` with a copy built by the validating
+constructor.  Each measure must pass the ``Measure`` constructor.
 """
 
 import json
@@ -62,19 +63,45 @@ def test_golden_fixtures(derived, tmp_path):
     assert_sound(derived)
 
 
+def _audit_doc(doc):
+    """A ``capacity-audit`` document for the first rule of a problem document:
+    its specification on its carrier, or on the labels it chooses."""
+    entry = doc["rules"][0]
+    carrier = entry.get("carrier") or sorted(set(entry["choices"].values()))
+    return {
+        "schema": "capid/1",
+        "labels": doc["labels"],
+        "carrier": carrier,
+        "info_spec": entry["info_spec"],
+    }
+
+
 @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
 def test_generated_documents(derived, tmp_path, capsys, floats):
     rng = random.Random(7310 + floats)
     mode = "float" if floats else "exact"
     path = tmp_path / "doc.json"
+
+    def run(command, doc, *extra):
+        path.write_text(json.dumps(doc))
+        return main([command, "--input", str(path), "--mode", mode, *extra])
+
+    codes = []
     for _ in range(30):
         doc, q = gen.random_problem_doc(rng, floats)
-        path.write_text(json.dumps(doc))
         for command in PROBLEM_COMMANDS:
-            main([command, "--input", str(path), "--mode", mode, "--q", json.dumps(q)])
+            run(command, doc, "--q", json.dumps(q))
+        codes.append(run("capacity-audit", _audit_doc(doc)))
+        codes.append(run("simulate", {**doc, "q": q, "seed": rng.randrange(1 << 30)}))
+        kappa = rng.choice(("0", "1/2", "1"))
+        codes.append(run("identify-kappa", gen.random_updating_doc(rng), "--kappa", kappa))
     capsys.readouterr()
+    assert codes == [0] * len(codes)
     measures = sum(isinstance(obj, Measure) for obj in derived)
     assert measures and len(derived) - measures
+    # one inertia capacity, all ints, per updating document
+    inertia = [c for c in derived if isinstance(c, Capacity) and set(map(type, c.values)) == {int}]
+    assert len(inertia) == 30
     assert_sound(derived)
 
 

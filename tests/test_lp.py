@@ -2,8 +2,8 @@
 
 from fractions import Fraction as F
 
-from capid.lp import feasible_point, int_rows, simplex_polytope_vertices, solve_lp
-from lp_oracle import kernel_rows
+from capid.lp import feasible_point, simplex_polytope_vertices, solve_lp
+from lp_oracle import int_rows, kernel_rows
 
 
 def solve(c, a_ub, b_ub, a_eq, b_eq):

@@ -4,8 +4,8 @@ The condensed integer-row simplex and the dense Fraction oracle follow the
 same pivot rules, so on every LP they must make the same pivots and return
 the same ``LpResult``: status, exact point and objective, also for each
 objective of a ``minimize_each`` call, which shares one phase 1 among them.
-The LPs are written with Fractions and reach the kernel through its row
-converter ``int_rows``.  Where scipy is installed, optimal objectives are
+The LPs are written with Fractions and reach the kernel through the row
+converter ``lp_oracle.int_rows``.  Where scipy is installed, optimal objectives are
 also compared with HiGHS.  Double-description vertex enumeration must return
 the vertex set of the rank-filter oracle, each vertex once.
 """
@@ -19,10 +19,10 @@ import pytest
 import lp_oracle
 from capid import lp
 from capid.identification import _lp_rows, problem_from_info_specs
-from capid.lp import int_rows, minimize_each, simplex_polytope_vertices, solve_lp
+from capid.lp import minimize_each, simplex_polytope_vertices, solve_lp
 from capid.simulate import synth_population
 from gen import FAMILIES, random_carrier, random_ground, random_measure, random_q, random_spec
-from lp_oracle import fraction_rows, kernel_rows, rank_filter_vertices
+from lp_oracle import fraction_rows, int_rows, kernel_rows, rank_filter_vertices
 from lp_oracle import solve_lp as dense_solve_lp
 
 

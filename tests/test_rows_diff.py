@@ -4,10 +4,15 @@ against the per-subset code they replaced.
 ``mass_table`` must give what ``Measure.mass`` gives for every subset, and
 the capacities, verdicts and LP rows built on it must be the ones the old
 per-subset sums gave.  Every comparison is by ``repr``, so a Fraction that
-became an int, or a float that moved by one bit, fails it.
+became an int, or a float that moved by one bit, fails it, with one
+exception: the float kappa interval's endpoints.  They are a row's exact
+bound rounded once to a double, where the old scan divided two rounded
+differences, so they may differ from the old ones in the sign of zero or by
+up to two ulps.
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,13 +25,14 @@ from capid.capacity import decompose_in_mixture_core, mass_table
 from capid.identification import (
     MAX_REPORTED_VIOLATIONS,
     _lp_rows,
+    check_menu_homogeneous,
     check_rationalizes,
 )
 from capid.info_specs import build_capacity
 from capid.numeric import ge, tol_for
-from capid.updating import biased_capacity, check_average_bias
-from helpers import core_contains
-from lp_oracle import fraction_rows
+from capid.updating import KappaRange, check_average_bias, rationalizing_kappa_interval
+from helpers import biased_capacity, core_contains
+from lp_oracle import fraction_rows, kernel_rows
 
 CASES = 240
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -95,16 +101,82 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
 
 
 def test_average_bias_verdicts_match_the_per_subset_code():
-    doc = json.loads(UPDATING.read_text())
-    for exact in (True, False):
-        grid, model, lam, _ = schemas.parse_updating(doc, exact)
-        for step in range(9):
-            kappa = F(step, 8) if exact else step / 8
-            new = check_average_bias(lam, model, grid, kappa)
-            nu_k = biased_capacity(kappa, model, grid)
-            old = oracle._dominance_verdict(grid.ground, lam, [nu_k], [F(1)])
-            assert repr(new) == repr(old)
-            assert new.rationalizes == (step == 4)
+    """At nine biases across the admissible range, on the updating fixture
+    and on seeded ``tests/gen`` updating documents."""
+    fixture = json.loads(UPDATING.read_text())
+    rng = random.Random(8123)
+    passing = {True: 0, False: 0}
+    for doc in [fixture] + [gen.random_updating_doc(rng) for _ in range(60)]:
+        for exact in (True, False):
+            grid, model, lam, _ = schemas.parse_updating(doc, exact)
+            krange = KappaRange.for_model(model)
+            for step in range(9):
+                share = F(step, 8) if exact else step / 8
+                kappa = min(krange.hi, krange.lo + (krange.hi - krange.lo) * share)
+                new = check_average_bias(lam, model, grid, kappa)
+                nu_k = biased_capacity(kappa, model, grid)
+                old = oracle._dominance_verdict(grid.ground, lam, [nu_k], [F(1)])
+                assert repr(new) == repr(old)
+                passing[new.rationalizes] += 1
+                if doc is fixture:
+                    assert new.rationalizes == (step == 4)
+    assert min(passing.values()) >= 100, passing
+
+
+def _rounded_bounds(lam, model, grid):
+    """Each row's bound (lam(K) - nu(K)) / ([prior in K] - nu(K)), on the
+    floats' exact values and lam's float subset sums, rounded once."""
+    prior = grid.prior_mask
+    bounds = set()
+    for mask, (lam_k, nu_k) in enumerate(zip(mass_table(lam.weights), model.nu.values)):
+        coeff = (1 if mask & prior else 0) - F(nu_k)
+        if coeff:
+            bounds.add(float((F(lam_k) - F(nu_k)) / coeff))
+    return bounds
+
+
+def test_kappa_interval_matches_the_per_subset_scan():
+    """On seeded ``tests/gen`` updating documents, with lambda on and off the
+    identified set and with and without a ``kappa_range``: exact solutions
+    equal the old scan's; float ones have its diagnosis, Bayes-violation
+    masks and emptiness, and each endpoint is one of the range's ends or a
+    row's once-rounded bound, as close to the old one as the docstring says."""
+    rng = random.Random(20261019)
+    docs = 200
+    seen = {"exact": 0, "float": 0, "kappa_range": 0, "ulp": 0, "zero_sign": 0}
+    for _ in range(docs):
+        doc = gen.random_updating_doc(rng)
+        seen["kappa_range"] += "kappa_range" in doc
+        for exact in (True, False):
+            grid, model, lam, krange = schemas.parse_updating(doc, exact)
+            new = rationalizing_kappa_interval(lam, model, grid, krange)
+            old = oracle.kappa_interval_scan(lam, model, grid, krange)
+            seen["exact" if exact else "float"] += 1
+            seen[new.diagnosis] = seen.get(new.diagnosis, 0) + 1
+            if exact:
+                assert repr(vars(new)) == repr(vars(old))
+                continue
+            assert (new.empty, new.diagnosis) == (old.empty, old.diagnosis)
+            assert (new.under_witnesses, new.over_witnesses) == (
+                old.under_witnesses, old.over_witnesses,
+            )
+            if new.empty:
+                assert new.lo is new.hi is old.lo is old.hi is None
+                continue
+            ends = krange or KappaRange.for_model(model)
+            rounded = _rounded_bounds(lam, model, grid) | {ends.lo, ends.hi}
+            for a, b in ((new.lo, old.lo), (new.hi, old.hi)):
+                assert type(a) is float and a in rounded, (doc, a)
+                # 0.0 == -0.0
+                assert a == b or abs(a - b) <= 2 * math.ulp(b), (doc, a, b)
+                seen["ulp"] += a != b
+                seen["zero_sign"] += a == b and repr(a) != repr(b)
+    assert seen["exact"] == seen["float"] == docs
+    assert seen["kappa_range"] >= 30, seen
+    for diagnosis in ("bayesian-feasible", "underreaction", "overreaction", "impossible"):
+        assert seen.get(diagnosis, 0) >= 20, seen
+    # the float endpoints do move: the exact quotient, rounded once
+    assert seen["ulp"] + seen["zero_sign"] >= 5, seen
 
 
 def test_table_matches_mass_on_random_vectors():
@@ -150,3 +222,39 @@ def test_decomposition_rows_hold_the_per_subset_values(monkeypatch):
         seen["uncovered"] += not literal
     assert seen["exact"] >= 90 and seen["float"] >= 75, seen
     assert seen["float_second_band"] >= 10 and seen["uncovered"] >= 20, seen
+
+
+def test_menu_homog_rows_hold_the_per_alternative_values(monkeypatch):
+    """``check_menu_homogeneous`` builds its int rows from Q's and lambda's
+    numerators.  Read over their denominators, they must be the Fraction
+    rows, and in float mode the band, built one value at a time; and the
+    menu distribution must be the one the Fraction rows give through the
+    row converter, so the pivots are unchanged."""
+    systems = []
+    feasible_point = lp.feasible_point
+
+    def recorded(a_ub, b_ub, a_eq, b_eq, nvars):
+        systems.append((fraction_rows(a_ub, b_ub), fraction_rows(a_eq, b_eq)))
+        return feasible_point(a_ub, b_ub, a_eq, b_eq, nvars)
+
+    monkeypatch.setattr(lp, "feasible_point", recorded)
+    seen = {"exact": 0, "float": 0, "feasible": 0, "infeasible": 0}
+    for exact, doc, q_doc in _cases():
+        bundle = schemas.parse_problem(doc, exact)
+        collection = bundle.shared_collection()
+        if collection is None:
+            continue
+        problem = bundle.problem
+        rules = [bundle.decision_rules[r.rule_id] for r in problem.rules]
+        q = schemas.parse_q(q_doc, problem, exact)
+        systems.clear()
+        pi = check_menu_homogeneous(rules, collection, problem.data, q)
+        ub, eq = oracle._menu_homog_rows(rules, collection, problem.data, q)
+        assert systems == [(ub, eq)]
+        point = feasible_point(*kernel_rows(ub), *kernel_rows(eq), len(collection.menus))
+        expected = None if point is None else tuple(w if exact else float(w) for w in point)
+        assert repr(None if pi is None else pi.weights) == repr(expected)
+        seen["exact" if exact else "float"] += 1
+        seen["infeasible" if pi is None else "feasible"] += 1
+    assert seen["exact"] >= 40 and seen["float"] >= 40, seen
+    assert seen["feasible"] >= 20 and seen["infeasible"] >= 20, seen

@@ -17,12 +17,11 @@ from capid.updating import (
     ExperimentModel,
     KappaRange,
     OddsGrid,
-    biased_capacity,
     check_average_bias,
     rationalizing_kappa_interval,
 )
 from capacity_oracle import literal_from_measure
-from helpers import apply_update_rule, average_bias, bayes_posterior
+from helpers import apply_update_rule, average_bias, bayes_posterior, biased_capacity
 
 GRID = OddsGrid.from_values((F(-1), F(0), F(1)), F(0))
 
