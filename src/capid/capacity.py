@@ -35,8 +35,8 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, format_number, ge,
-    int_numerators, tol_for, tol_shift,
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number, int_numerators,
+    tol_for, tol_shift,
 )
 
 Label = Hashable
@@ -220,21 +220,22 @@ class Measure(Record):
         n = self.ground.size
         if len(self.weights) != n:
             raise ValidationError("measure weight vector has wrong length")
-        tol = self.tol
-        for w in self.weights:
-            if not ge(w, 0, tol):
+        nums, scale = self.int_view
+        shift = tol_shift(self.tol, scale)
+        for w, num in zip(self.weights, nums):
+            if num < -shift:
                 raise ValidationError(f"negative weight {format_number(w)}")
+        # the left-to-right float sum decides, as printed
         total = fold_sum(self.weights)
-        if not eq(total, 1, tol):
+        if abs(total - 1) > self.tol:
             raise ValidationError(f"weights sum to {total}, expected 1")
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")
             if self.carrier > self.ground.full_mask:
                 raise ValidationError("carrier is not a subset of the ground set")
-            for i, w in enumerate(self.weights):
-                if not self.carrier >> i & 1 and not eq(w, 0, tol):
-                    raise ValidationError("measure puts mass outside its carrier")
+            if self.support() & ~self.carrier:
+                raise ValidationError("measure puts mass outside its carrier")
 
     @classmethod
     def _derived(
@@ -257,6 +258,10 @@ class Measure(Record):
     def tol(self) -> Num:
         return ZERO if self.is_exact else FLOAT_TOL
 
+    @cached_property
+    def int_view(self) -> tuple[tuple[int, ...], int]:
+        return int_numerators(self.weights)
+
     def mass(self, mask: int) -> Num:
         return fold_sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
 
@@ -264,12 +269,10 @@ class Measure(Record):
         return self.weights[self.ground.index(label)]
 
     def support(self) -> int:
-        tol = self.tol
-        mask = 0
-        for i, w in enumerate(self.weights):
-            if not eq(w, 0, tol):
-                mask |= 1 << i
-        return mask
+        """The labels whose weight is nonzero, up to the tolerance."""
+        nums, scale = self.int_view
+        shift = tol_shift(self.tol, scale)
+        return sum(1 << i for i, num in enumerate(nums) if abs(num) > shift)
 
     @classmethod
     def point(cls, ground: GroundSet, label: Label, carrier: Optional[int] = None) -> "Measure":
@@ -301,23 +304,22 @@ class Capacity(Record):
             raise ValidationError(
                 f"capacity needs {1 << n} values, got {len(self.values)}"
             )
-        tol = self.tol
-        values = self.values
-        if not eq(values[0], 0, tol):
-            raise ValidationError("capacity of the empty set must be 0")
-        if not eq(values[-1], 1, tol):
-            raise ValidationError("capacity of the full set must be 1")
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")
             if self.carrier > self.ground.full_mask:
                 raise ValidationError("carrier is not a subset of the ground set")
+        # int_view reads the carrier, so it comes after the carrier checks
+        nums, scale = self.int_view
+        shift = tol_shift(self.tol, scale)
+        if abs(nums[0]) > shift:
+            raise ValidationError("capacity of the empty set must be 0")
+        if abs(nums[-1] - scale) > shift:
+            raise ValidationError("capacity of the full set must be 1")
         # monotone on the carrier's subsets and constant across the carrier
         # together make the capacity monotone on every subset
         active = self.active
         bits = [1 << i for i in range(n) if active >> i & 1]
-        nums, scale = self.int_view
-        shift = tol_shift(tol, scale)
         for mask in carrier_masks(active):
             for bit in bits:
                 if not mask & bit and nums[mask | bit] + shift < nums[mask]:
@@ -414,8 +416,9 @@ class Capacity(Record):
         small = [values[mask] for mask in carrier_masks(carrier)]
         if values == spread(small, carrier, self.ground.size):
             return True
-        tol = self.tol
-        return all(eq(values[mask], values[mask & carrier], tol) for mask in range(len(values)))
+        nums, scale = self.int_view
+        shift = tol_shift(self.tol, scale)
+        return all(abs(num - nums[mask & carrier]) <= shift for mask, num in enumerate(nums))
 
     @property
     def active(self) -> int:
@@ -482,7 +485,7 @@ def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
         else:
             spans = [range(_cell(w - reach), _cell(w + reach) + 1) for w in m.weights]
             if not any(
-                all(eq(a, b, FLOAT_TOL) for a, b in zip(m.weights, kept.weights))
+                all(abs(a - b) <= FLOAT_TOL for a, b in zip(m.weights, kept.weights))
                 for cell in product(*spans)
                 for kept in fuzzy.get(cell, ())
             ):
@@ -555,7 +558,9 @@ def decompose_in_mixture_core(
             raise ValidationError("components live on a different ground set")
     n = ground.size
     tol = tol_for(weights)
-    if any(not ge(w, 0, tol) for w in weights) or not eq(fold_sum(weights), 1, tol):
+    w_nums, w_scale = int_numerators(weights)
+    # the left-to-right float sum decides, as in Measure
+    if min(w_nums, default=0) < -tol_shift(tol, w_scale) or abs(fold_sum(weights) - 1) > tol:
         raise ValidationError("mixture weights must be a probability vector")
     exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
@@ -603,8 +608,7 @@ def decompose_in_mixture_core(
             a_ub.append(row)
             b_ub.append(((scale - nums[mask]) * slack_den + slack_num * scale, unit))
     # the mix-back sum_i w_i p_i(a) = p(a), over the weights' and p's scales
-    w_nums, w_scale = int_numerators(weights)
-    p_nums, p_scale = int_numerators(p.weights)
+    p_nums, p_scale = p.int_view
     den = w_scale * p_scale
     mix_rows: list[list[int]] = []
     targets: list[int] = []

@@ -49,7 +49,7 @@ from .capacity import (
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
 from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, eq, fold_sum, int_numerators, tol_shift,
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, int_numerators, tol_shift,
 )
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
@@ -195,7 +195,7 @@ def _dominance_rows(
         nums if den == scale else tuple(v * (scale // den) for v in nums) for nums, den in views
     ))
     if lam.is_exact:
-        lam_nums, lam_scale = int_numerators(lam.weights)
+        lam_nums, lam_scale = lam.int_view
         sums = mass_table(lam_nums)
     else:
         sums, lam_scale = int_numerators(mass_table(lam.weights))
@@ -370,15 +370,12 @@ def construct_menu_measures(
             continue
         rule.validate_on(collection)
         rho = rho_by_rule[rule.rule_id]
-        tol = rho.tol
+        support = rho.support()
         weights: list[Num] = [Fraction(0) if rho.is_exact else 0.0] * len(collection.menus)
-        for i, label in enumerate(rho.ground.labels):
-            w = rho.weights[i]
-            if eq(w, 0, tol):
+        for i, (label, w) in enumerate(zip(rho.ground.labels, rho.weights)):
+            if not support >> i & 1:
                 continue
-            menu_idx = next(
-                (j for j, c in enumerate(rule.choices) if c == label), None
-            )
+            menu_idx = next((j for j, c in enumerate(rule.choices) if c == label), None)
             if menu_idx is None:
                 raise ValidationError(
                     f"rule {rule.rule_id!r} never chooses {label!r}: choice "
@@ -415,7 +412,7 @@ def check_menu_homogeneous(
     # pick a there, and its right-hand side is lambda(a): Q as ints over W,
     # lambda over D and the tolerance as s over t, all put over W * D * t
     w_nums, w_scale = int_numerators([q.weight(rule.rule_id) for rule in rules])
-    lam_nums, lam_scale = int_numerators(lam.weights)
+    lam_nums, lam_scale = lam.int_view
     s, t = (ZERO if exact else FLOAT_TOL).as_integer_ratio()
     den = w_scale * lam_scale * t
     rows = [

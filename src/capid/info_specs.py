@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .capacity import Capacity, GroundSet, Measure, Record, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
-from .numeric import ONE, ZERO, Num, eq, fold_sum, ge, tol_for
+from .numeric import ONE, ZERO, Num, fold_sum, int_numerators, tol_for, tol_shift
 
 
 class InfoSpec(Record):
@@ -84,7 +84,7 @@ class Contamination(InfoSpec):
         self.epsilon = epsilon
         if self.rho_hat.ground != self.ground:
             raise ValidationError("focal measure lives on a different ground set")
-        if not (ge(self.epsilon, 0, 0) and ge(1, self.epsilon, 0)):
+        if not 0 <= self.epsilon <= 1:
             raise ValidationError("epsilon must lie in [0, 1]")
         if self.rho_hat.support() & ~self.carrier:
             raise ValidationError("focal measure puts mass outside the carrier")
@@ -129,15 +129,17 @@ class IntervalBelief(InfoSpec):
         n = self.ground.size
         if len(self.lower) != n or len(self.upper) != n:
             raise ValidationError("bound vectors have wrong length")
-        tol = tol_for(self.lower, self.upper)
-        for i in range(n):
-            if not ge(self.lower[i], 0, tol):
+        # the bounds over one denominator, lower first
+        nums, scale = int_numerators((*self.lower, *self.upper))
+        shift = tol_shift(tol_for(self.lower, self.upper), scale)
+        for i, low, up in zip(range(n), nums, nums[n:]):
+            if low < -shift:
                 raise ValidationError("lower bounds must be nonnegative")
-            if not ge(self.upper[i], self.lower[i], tol):
+            if up - low < -shift:
                 raise ValidationError("upper bounds must dominate lower bounds")
-            if not self.carrier >> i & 1:
-                if not (eq(self.lower[i], 0, tol) and eq(self.upper[i], 0, tol)):
-                    raise ValidationError("bounds must vanish outside the carrier")
+            if not self.carrier >> i & 1 and max(abs(low), abs(up)) > shift:
+                raise ValidationError("bounds must vanish outside the carrier")
+        # the left-to-right float sums decide, as printed
         low_total = self._sum(self.lower, self.carrier)
         up_total = self._sum(self.upper, self.carrier)
         if not (0 < low_total < 1 < up_total):
@@ -261,29 +263,25 @@ def spec_contains(spec: InfoSpec, rho: Measure) -> bool:
         eps = spec.epsilon
         for i in range(spec.ground.size):
             diff = rho.weights[i] - (1 - eps) * spec.rho_hat.weights[i]
-            if not ge(diff, 0, tol):
+            if diff < -tol:
                 return False
         return True
     if isinstance(spec, VariationNeighborhood):
-        worst = max(
-            abs(rho.mass(k) - spec.reference.mass(k)) for k in submasks(carrier)
-        )
-        return ge(spec.epsilon, worst, tol)
+        worst = max(abs(rho.mass(k) - spec.reference.mass(k)) for k in submasks(carrier))
+        return spec.epsilon >= worst - tol
     if isinstance(spec, IntervalBelief):
         for k in submasks(carrier):
             value = rho.mass(k)
-            if not ge(value, IntervalBelief._sum(spec.lower, k), tol):
+            if value < IntervalBelief._sum(spec.lower, k) - tol:
                 return False
-            if not ge(IntervalBelief._sum(spec.upper, k), value, tol):
+            if IntervalBelief._sum(spec.upper, k) < value - tol:
                 return False
         return True
     if isinstance(spec, ExplicitCapacity):
         # core membership: rho(K) >= nu(K) for every subset K
         nu = build_capacity(spec)
         core_tol = tol_for(nu.values, rho.weights)
-        return all(ge(pk, nuk, core_tol) for pk, nuk in zip(mass_table(rho.weights), nu.values))
+        return all(pk >= nuk - core_tol for pk, nuk in zip(mass_table(rho.weights), nu.values))
     if isinstance(spec, PointMass):
-        return all(
-            eq(a, b, tol) for a, b in zip(rho.weights, spec.rho.weights)
-        )
+        return all(abs(a - b) <= tol for a, b in zip(rho.weights, spec.rho.weights))
     raise ValidationError(f"unknown specification {type(spec).__name__}")

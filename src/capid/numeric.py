@@ -7,8 +7,10 @@ A value collection is "exact" when every member is a Fraction or an int.
 The scans behind every decision compare no Fraction or float: in both modes
 ``int_numerators`` puts a collection over one common denominator, a float at
 its exact binary value, and the scans compare the int numerators, with the
-tolerance as one int shift (``tol_shift``).  ``ge`` and ``eq`` validate the
-parsed values themselves.
+tolerance as one int shift (``tol_shift``).  The checks that validate the
+parsed values decide the same way, except three totals (a measure's weights,
+mixture weights and an interval belief's carrier sums), which add the values
+left to right (``fold_sum``) and compare the rounded sum.
 """
 
 from __future__ import annotations
@@ -74,24 +76,6 @@ def tol_shift(tol: Num, scale: int) -> int:
     at most tol exactly when it is at most this shift."""
     num, den = tol.as_integer_ratio()
     return num * scale // den
-
-
-def ge(a: Num, b: Num, tol: Num) -> bool:
-    """a >= b up to tol.  At the exact ZERO the values are compared
-    directly, without a Fraction subtraction; subtracting ZERO from a float
-    gives the same float, so the result is the same for every operand."""
-    if tol is ZERO:
-        return a >= b
-    return a >= b - tol
-
-
-def eq(a: Num, b: Num, tol: Num) -> bool:
-    """a == b up to tol.  At the exact ZERO with no float operand the
-    values are compared directly; a float operand keeps the subtraction,
-    which rounds: ``eq(Fraction(1, 3), 1 / 3, ZERO)`` holds."""
-    if tol is ZERO and not isinstance(a, float) and not isinstance(b, float):
-        return a == b
-    return abs(a - b) <= tol
 
 
 def as_fraction(x: Num) -> Fraction:

@@ -87,8 +87,9 @@ class ExperimentModel:
             raise ValidationError("experiment capacity must live on the shifted grid")
         if not is_convex(self.nu):
             raise ValidationError("experiment capacity must be convex")
+        nums, scale = self.nu.int_view
         signal = self.nu.ground.full_mask & ~(1 << self.grid.null_signal_index)
-        if self.nu.values[signal] <= self.nu.tol:
+        if nums[signal] <= tol_shift(self.nu.tol, scale):
             raise ValidationError(
                 "an admissible experiment is allowed to be pure noise "
                 "(mass 1 on the null signal); such models are rejected"
@@ -103,6 +104,17 @@ class ExperimentModel:
         """
         null = self.nu.values[1 << self.grid.null_signal_index]
         return -null / (1 - null)
+
+    def above_floor(self, kappa: Num) -> bool:
+        """Whether ``kappa`` lies at or above the exact floor -N/(L-N), with
+        nu({0}) = N/L on nu's int view, up to the tolerance.  For kappa = a/b
+        that is one int comparison, a(L-N) + N b >= -tol_shift(tol, b(L-N));
+        L - N is positive, as the capacity is convex and not pure noise."""
+        nums, scale = self.nu.int_view
+        null = nums[1 << self.grid.null_signal_index]
+        a, b = kappa.as_integer_ratio()
+        room = scale - null
+        return a * room + null * b >= -tol_shift(self.nu.tol, b * room)
 
     @cached_property
     def inertia(self) -> Capacity:
@@ -126,14 +138,16 @@ class KappaRange:
     def for_model(
         cls, model: ExperimentModel, lo: Optional[Num] = None, hi: Optional[Num] = None
     ) -> "KappaRange":
-        floor = model.kappa_floor
+        """[lo, hi] clipped to [floor, 1], each end decided by ``above_floor``:
+        a lower end below the floor becomes the printed floor (or the upper
+        end, if that lies below the floor's double)."""
         one = Fraction(1) if model.nu.is_exact else 1.0
-        lo = floor if lo is None else max(lo, floor)
         hi = one if hi is None else min(hi, one)
+        if not model.above_floor(hi):
+            raise ValidationError("empty kappa range")
+        if lo is None or not model.above_floor(lo):
+            lo = min(model.kappa_floor, hi)
         return cls(lo, hi)
-
-    def contains(self, kappa: Num) -> bool:
-        return self.lo <= kappa <= self.hi
 
 
 def check_average_bias(
@@ -147,7 +161,7 @@ def check_average_bias(
     """
     if lam.ground != grid.ground:
         raise ValidationError("data must live on the odds grid")
-    if not KappaRange.for_model(model).contains(kappa_av):
+    if not (model.above_floor(kappa_av) and kappa_av <= 1):
         raise ValidationError(f"kappa {kappa_av} outside the admissible range")
     return dominance_verdict(lam, [model.nu, model.inertia], [1 - kappa_av, kappa_av])
 

@@ -25,7 +25,8 @@ from capid.errors import NotConvexError, ValidationError
 from capid.info_specs import (
     Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
 )
-from capid.numeric import FLOAT_TOL, Num, as_fraction, eq, ge
+from capid.numeric import FLOAT_TOL, Num, as_fraction
+from oracle import eq, ge
 
 
 def brute_force_convex(nu):

@@ -181,7 +181,7 @@ def random_updating_doc(rng: random.Random, lo=2, hi=4) -> dict:
     mixture of its core vertices at a bias drawn between the model floor and
     1, so lambda lies on the identified set; the others draw lambda at
     random, mostly off it.  About 30% carry a ``kappa_range`` inside
-    [floor, 1] with distinct ends.
+    [floor, 1].
     """
     from capid.schemas import capacity_json, measure_json
     from capid.updating import ExperimentModel, OddsGrid
@@ -220,7 +220,6 @@ def random_updating_doc(rng: random.Random, lo=2, hi=4) -> dict:
         "lambda": measure_json(lam),
     }
     if rng.random() < 0.3:
-        # distinct ends: float mode computes the floor in floats, which may
-        # round above an end written at the exact floor
-        doc["kappa_range"] = [bias(step) for step in sorted(rng.sample(range(9), 2))]
+        # the ends may coincide, also at the floor
+        doc["kappa_range"] = [bias(step) for step in sorted(rng.choices(range(9), k=2))]
     return _json_numbers(doc, False)

@@ -20,8 +20,9 @@ from typing import Mapping, Optional, Sequence
 from capid.capacity import Capacity, GroundSet, Label, Measure, _moebius, mass_table
 from capid.errors import ValidationError
 from capid.identification import DecisionRule, MenuCollection
-from capid.numeric import Num, eq, fold_sum, ge, tol_for
-from capid.updating import ExperimentModel, KappaRange, OddsGrid
+from capid.numeric import Num, fold_sum, tol_for
+from capid.updating import ExperimentModel, OddsGrid
+from oracle import eq, ge
 
 
 def uniform(ground: GroundSet, mask: Optional[int] = None) -> Measure:
@@ -197,7 +198,7 @@ def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capac
     indicator of the prior's membership; this stays convex for every kappa in
     the admissible range, negative values included.
     """
-    if not KappaRange.for_model(model).contains(kappa):
+    if not (model.above_floor(kappa) and kappa <= 1):
         raise ValidationError(f"kappa {kappa} outside the admissible range")
     prior_mask = grid.prior_mask
     values = tuple(

@@ -25,6 +25,14 @@ time, as they were built before the kernel took int rows, and
 dominance rows: it pairs lambda's subset sums with the experiment
 capacity's values and decides on the values themselves, so in float mode on
 rounded floats, within the tolerance.
+
+``ge`` and ``eq`` are the toleranced comparisons that ``capid.numeric`` kept
+for the parse-time checks, and the ``float_*`` functions are those checks as
+they ran on the values themselves, before they read int numerators: a
+measure's weights, its support, a capacity's boundary values and constancy
+across a carrier, mixture weights, interval-belief bounds and the updating
+model's pure-noise test.  Each ``*_error`` function returns the message the
+constructor raised, or None.
 """
 
 from fractions import Fraction as F
@@ -35,10 +43,30 @@ from capid.capacity import Capacity, GroundSet, Measure, mass_table, submasks
 from capid.identification import (
     MAX_REPORTED_VIOLATIONS, DecisionRule, IdentificationProblem, MenuCollection, Verdict,
 )
-from capid.numeric import FLOAT_TOL, Num, all_exact, as_fraction, fold_sum, ge, tol_for
+from capid.numeric import (
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number, tol_for,
+)
 from capid.updating import ExperimentModel, KappaRange, KappaSolution, OddsGrid
 
 _ZERO = F(0)
+
+
+def ge(a: Num, b: Num, tol: Num) -> bool:
+    """a >= b up to tol.  At the exact ZERO the values are compared
+    directly, without a Fraction subtraction; subtracting ZERO from a float
+    gives the same float, so the result is the same for every operand."""
+    if tol is ZERO:
+        return a >= b
+    return a >= b - tol
+
+
+def eq(a: Num, b: Num, tol: Num) -> bool:
+    """a == b up to tol.  At the exact ZERO with no float operand the
+    values are compared directly; a float operand keeps the subtraction,
+    which rounds: ``eq(Fraction(1, 3), 1 / 3, ZERO)`` holds."""
+    if tol is ZERO and not isinstance(a, float) and not isinstance(b, float):
+        return a == b
+    return abs(a - b) <= tol
 
 
 def weight_grid(k: int, step: int):
@@ -305,3 +333,80 @@ def kappa_interval_scan(
     else:
         diagnosis = "overreaction"
     return KappaSolution(False, lo, hi, diagnosis, tuple(under), tuple(over))
+
+
+def float_measure_error(ground: GroundSet, weights, carrier: Optional[int]) -> Optional[str]:
+    """``Measure.__init__``'s checks on the weights themselves."""
+    tol = tol_for(weights)
+    for w in weights:
+        if not ge(w, 0, tol):
+            return f"negative weight {format_number(w)}"
+    total = fold_sum(weights)
+    if not eq(total, 1, tol):
+        return f"weights sum to {total}, expected 1"
+    if carrier is not None:
+        if carrier == 0:
+            return "empty carrier"
+        if carrier > ground.full_mask:
+            return "carrier is not a subset of the ground set"
+        for i, w in enumerate(weights):
+            if not carrier >> i & 1 and not eq(w, 0, tol):
+                return "measure puts mass outside its carrier"
+    return None
+
+
+def float_support(weights) -> int:
+    """``Measure.support``: the labels whose weight is not 0 up to the
+    tolerance."""
+    tol = tol_for(weights)
+    return sum(1 << i for i, w in enumerate(weights) if not eq(w, 0, tol))
+
+
+def float_capacity_boundary_error(values) -> Optional[str]:
+    """``Capacity.__init__``'s checks on the empty and the full set."""
+    tol = tol_for(values)
+    if not eq(values[0], 0, tol):
+        return "capacity of the empty set must be 0"
+    if not eq(values[-1], 1, tol):
+        return "capacity of the full set must be 1"
+    return None
+
+
+def float_carried_by(values, carrier: int) -> bool:
+    """``Capacity.carried_by``'s scan: nu(K) = nu(K & carrier) for every K."""
+    tol = tol_for(values)
+    return all(eq(values[mask], values[mask & carrier], tol) for mask in range(len(values)))
+
+
+def float_mixture_weights_ok(weights) -> bool:
+    """``decompose_in_mixture_core``'s check that the weights are a
+    probability vector."""
+    tol = tol_for(weights)
+    return all(ge(w, 0, tol) for w in weights) and eq(fold_sum(weights), 1, tol)
+
+
+def float_interval_belief_error(carrier: int, lower, upper) -> Optional[str]:
+    """``IntervalBelief.__init__``'s per-label checks and carrier totals."""
+    tol = tol_for(lower, upper)
+    for i, (low, up) in enumerate(zip(lower, upper)):
+        if not ge(low, 0, tol):
+            return "lower bounds must be nonnegative"
+        if not ge(up, low, tol):
+            return "upper bounds must dominate lower bounds"
+        if not carrier >> i & 1 and not (eq(low, 0, tol) and eq(up, 0, tol)):
+            return "bounds must vanish outside the carrier"
+    low_total = fold_sum(v for i, v in enumerate(lower) if carrier >> i & 1)
+    up_total = fold_sum(v for i, v in enumerate(upper) if carrier >> i & 1)
+    if not (0 < low_total < 1 < up_total):
+        return (
+            "carrier totals must satisfy 0 < lower < 1 < upper, got "
+            f"{low_total} and {up_total}"
+        )
+    return None
+
+
+def float_pure_noise(grid: OddsGrid, nu: Capacity) -> bool:
+    """``ExperimentModel``'s pure-noise test: nu of the informative signals
+    is 0 up to the tolerance."""
+    signal = nu.ground.full_mask & ~(1 << grid.null_signal_index)
+    return nu.values[signal] <= nu.tol

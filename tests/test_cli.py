@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import time
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ NESTED = str(FIXTURES / "nested_menus_six_orders.json")
 NESTED_NO_SINGLETON = str(FIXTURES / "nested_menus_six_orders_no_singleton.json")
 TWO_ORDERS = str(FIXTURES / "two_orders_four_menus.json")
 UPDATING = str(FIXTURES / "underreaction_point_experiment.json")
+AT_FLOOR = FIXTURES / "kappa_range_at_floor.json"
 AUDIT = str(FIXTURES / "point_spec_audit.json")
 SIMULATE = str(FIXTURES / "simulate_two_rules.json")
 
@@ -219,6 +221,69 @@ class TestIdentifyKappa:
         )
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
+        assert "outside the admissible range" in report["error"]["message"]
+
+
+def _at_floor(capsys, tmp_path, mode, kappa_range, *extra):
+    """identify-kappa on the fixture with nu({0}) = 1/6, so the floor is
+    -1/5, whose double lies one ulp below the floor computed in doubles."""
+    doc = json.loads(AT_FLOOR.read_text())
+    doc["kappa_range"] = kappa_range
+    path = tmp_path / "at_floor.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "identify-kappa", "--input", str(path), "--mode", mode, *extra)
+
+
+class TestKappaFloor:
+    """Range ends and --kappa are decided against the exact floor; the
+    floor prints as each mode computes it."""
+
+    FLOAT_FLOOR = -(1 / 6) / (1 - 1 / 6)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kappa_range", [["-1/5", "-1/5"], ["-1", "-1/5"], None])
+    def test_ends_at_the_floor_are_admissible(self, capsys, tmp_path, mode, kappa_range):
+        assert self.FLOAT_FLOOR == -0.19999999999999998 > -0.2
+        for extra in ((), ("--kappa=-1/5",)):
+            code, report = _at_floor(capsys, tmp_path, mode, kappa_range, *extra)
+            assert code == 0, report
+            result = report["result"]
+            if extra:
+                assert result["at_kappa"]["verdict"]["rationalizes"] is True
+            hi = F(-1, 5) if kappa_range else F(1, 5)
+            if mode == "exact":
+                assert result["kappa_floor"] == "-1/5"
+                assert result["interval"] == {"lo": "-1/5", "hi": str(hi)}
+                continue
+            assert result["kappa_floor"] == self.FLOAT_FLOOR
+            ends = result["interval"]
+            for end, exact in ((ends["lo"], F(-1, 5)), (ends["hi"], hi)):
+                assert type(end) is float
+                assert abs(end - float(exact)) <= math.ulp(float(exact)), (end, exact)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_an_end_below_the_floor_is_clipped(self, capsys, tmp_path, mode):
+        # 2e-9 below the floor lies outside the tolerance: the floor replaces
+        # it; 5e-10 below lies inside it in float mode, so the end stays
+        below = F(-1, 5) - F(2, 10**9)
+        code, report = _at_floor(capsys, tmp_path, mode, [str(below), "0"])
+        assert code == 0
+        assert report["result"]["interval"]["lo"] == report["result"]["kappa_floor"]
+        assert report["result"]["interval"]["hi"] == ("0" if mode == "exact" else 0.0)
+        inside = F(-1, 5) - F(5, 10**10)
+        code, report = _at_floor(capsys, tmp_path, mode, [str(inside), "0"])
+        assert code == 0
+        lo = report["result"]["interval"]["lo"]
+        assert lo == ("-1/5" if mode == "exact" else float(inside))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_below_the_floor_exits_2(self, capsys, tmp_path, mode):
+        below = str(F(-1, 5) - F(2, 10**9))
+        code, report = _at_floor(capsys, tmp_path, mode, ["-1", below])
+        assert code == 2
+        assert report["error"]["message"] == "empty kappa range"
+        code, report = _at_floor(capsys, tmp_path, mode, None, f"--kappa={below}")
+        assert code == 2
         assert "outside the admissible range" in report["error"]["message"]
 
 
@@ -538,6 +603,7 @@ SWEEP_COMMANDS = {
     "nested_menus_six_orders_no_singleton": ("witness", "menu-homog", "bounds"),
     "two_orders_four_menus": ("witness", "menu-homog", "bounds"),
     "underreaction_point_experiment": ("identify-kappa",),
+    "kappa_range_at_floor": ("identify-kappa",),
     "point_spec_audit": ("capacity-audit",),
     "simulate_two_rules": ("simulate",),
 }
@@ -546,6 +612,7 @@ SWEEP_OPTIONS = {
     "nested_menus_six_orders_no_singleton": ["--q", QUARTER_Q],
     "two_orders_four_menus": ["--q", json.dumps({"pref:a>b>c": "1/2", "pref:a>c>b": "1/2"})],
     "underreaction_point_experiment": ["--kappa", "1/2"],
+    "kappa_range_at_floor": ["--kappa=-1/5"],
 }
 
 

@@ -38,6 +38,9 @@ EXTRA_ARGS = {
         "--q", json.dumps({"pref:a>b>c": "1/2", "pref:a>c>b": "1/2"}),
     ],
     "underreaction_point_experiment": ["--kappa", "1/2"],
+    # the kappa range and --kappa end at the floor -1/5, whose double lies
+    # below the floor computed in doubles
+    "kappa_range_at_floor": ["--kappa=-1/5"],
     "point_spec_audit": [],
     "simulate_two_rules": [],
 }

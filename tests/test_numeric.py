@@ -5,7 +5,8 @@ import enum
 import itertools
 from fractions import Fraction as F
 
-from capid.numeric import FLOAT_TOL, ZERO, all_exact, eq, ge, is_exact_value
+from capid.numeric import FLOAT_TOL, ZERO, all_exact, is_exact_value
+from oracle import eq, ge
 
 
 class Level(enum.IntEnum):

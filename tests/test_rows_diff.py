@@ -29,7 +29,7 @@ from capid.identification import (
     check_rationalizes,
 )
 from capid.info_specs import build_capacity
-from capid.numeric import ge, tol_for
+from capid.numeric import tol_for
 from capid.updating import KappaRange, check_average_bias, rationalizing_kappa_interval
 from helpers import biased_capacity, core_contains
 from lp_oracle import fraction_rows, kernel_rows
@@ -72,7 +72,7 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
             families[spec.tag] = families.get(spec.tag, 0) + 1
             assert repr(build_capacity(spec)) == repr(literal_build_capacity(spec))
             tol = tol_for(rule.capacity.values, lam.weights)
-            literal = all(ge(s, v, tol) for s, v in zip(sums, rule.capacity.values))
+            literal = all(oracle.ge(s, v, tol) for s, v in zip(sums, rule.capacity.values))
             assert core_contains(rule.capacity, lam) == literal
 
         # verdicts at the document's Q and at a point mass on the first rule
