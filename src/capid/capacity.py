@@ -225,10 +225,14 @@ class Measure(Record):
         for w, num in zip(self.weights, nums):
             if num < -shift:
                 raise ValidationError(f"negative weight {format_number(w)}")
-        # the left-to-right float sum decides, as printed
-        total = fold_sum(self.weights)
-        if abs(total - 1) > self.tol:
-            raise ValidationError(f"weights sum to {total}, expected 1")
+        if self.is_exact:
+            if sum(nums) != scale:
+                raise ValidationError(f"weights sum to {Fraction(sum(nums), scale)}, expected 1")
+        else:
+            # the left-to-right float sum decides, as printed
+            total = fold_sum(self.weights)
+            if abs(total - 1) > self.tol:
+                raise ValidationError(f"weights sum to {total}, expected 1")
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")

@@ -35,19 +35,6 @@ from .numeric import format_number, parse_number
 from .simulate import synth_population
 from .updating import check_average_bias, rationalizing_kappa_interval
 
-COMMANDS = (
-    "check",
-    "exists",
-    "bounds",
-    "vertices",
-    "witness",
-    "menu-homog",
-    "identify-kappa",
-    "simulate",
-    "capacity-audit",
-)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -285,6 +272,7 @@ _HANDLERS = {
     "simulate": _cmd_simulate,
     "capacity-audit": _cmd_capacity_audit,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _write(text: str, path: Optional[str]) -> None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numeric import int_numerators
 
@@ -64,24 +64,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class LpResult:
-    def __init__(
-        self, status: str, x: Optional[tuple[Fraction, ...]], objective: Optional[Fraction]
-    ) -> None:
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
-        self.x = x
-        self.objective = objective
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.status, self.x, self.objective) == (other.status, other.x, other.objective)
-
-    def __hash__(self) -> int:
-        return hash((self.status, self.x, self.objective))
-
-    def __repr__(self) -> str:
-        return f"LpResult(status={self.status!r}, x={self.x!r}, objective={self.objective!r})"
+class LpResult(NamedTuple):
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: Optional[tuple[Fraction, ...]]
+    objective: Optional[Fraction]
 
 
 def _reduced(row: list[int]) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .capacity import Capacity, GroundSet, Label, Measure
 from .errors import ValidationError
@@ -241,18 +241,12 @@ def info_spec_json(spec: InfoSpec) -> dict[str, Any]:
 # identification problems
 # ---------------------------------------------------------------------------
 
-class ProblemBundle:
+class ProblemBundle(NamedTuple):
     """Parsed problem plus whatever menu structure the file provided."""
 
-    def __init__(
-        self,
-        problem: IdentificationProblem,
-        decision_rules: dict[str, DecisionRule],
-        collections: dict[str, MenuCollection],
-    ) -> None:
-        self.problem = problem
-        self.decision_rules = decision_rules
-        self.collections = collections
+    problem: IdentificationProblem
+    decision_rules: dict[str, DecisionRule]
+    collections: dict[str, MenuCollection]
 
     def shared_collection(self) -> Optional[MenuCollection]:
         """The single menu collection when every rule declares the same menus."""
@@ -394,7 +388,7 @@ def parse_simulation(obj, exact: bool):
     entries = [(rid, spec, entry) for entry, rid, spec, _, _ in _parse_rules(obj, ground, exact)]
     q = _rule_weights(_require(obj, "q"), tuple(rid for rid, _, _ in entries), exact, "q")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError("seed must be an integer")
     return ground, entries, q, seed
 

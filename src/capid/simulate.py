@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .capacity import Measure, core_vertices
 from .errors import ValidationError
@@ -20,11 +20,10 @@ from .info_specs import InfoSpec, build_capacity
 PRNG_ID = "python-random-mersenne-twister"
 
 
-class SynthResult:
-    def __init__(self, lam: Measure, rho_by_rule: dict[str, Measure], metadata: dict) -> None:
-        self.lam = lam
-        self.rho_by_rule = rho_by_rule
-        self.metadata = metadata
+class SynthResult(NamedTuple):
+    lam: Measure
+    rho_by_rule: dict[str, Measure]
+    metadata: dict
 
 
 def synth_population(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # core_vertices is no longer called here, but perfbench/tracing.py rebinds
 # capid.updating.core_vertices, so the name stays importable from this module
@@ -35,7 +35,7 @@ from .identification import Verdict, _dominance_rows, dominance_verdict
 from .numeric import Num, as_fraction, tol_shift
 
 
-class OddsGrid:
+class OddsGrid(NamedTuple):
     """Finite grid of log-odds values with a designated prior point.
 
     ``ground`` carries the odds values themselves as labels; ``shifted``
@@ -43,10 +43,9 @@ class OddsGrid:
     index-aligned, so subset masks transfer between them unchanged.
     """
 
-    def __init__(self, ground: GroundSet, prior: Num, shifted: GroundSet) -> None:
-        self.ground = ground
-        self.prior = prior
-        self.shifted = shifted
+    ground: GroundSet
+    prior: Num
+    shifted: GroundSet
 
     @classmethod
     def from_values(cls, values: Sequence[Num], prior: Num) -> "OddsGrid":
@@ -138,16 +137,18 @@ class KappaRange:
     def for_model(
         cls, model: ExperimentModel, lo: Optional[Num] = None, hi: Optional[Num] = None
     ) -> "KappaRange":
-        """[lo, hi] clipped to [floor, 1], each end decided by ``above_floor``:
-        a lower end below the floor becomes the printed floor (or the upper
-        end, if that lies below the floor's double)."""
+        """[lo, hi] clipped to [floor, 1], each end decided by ``above_floor``.
+        An admitted end is raised to the printed floor, as a float end within
+        the tolerance may lie below that double; a lower end that is missing
+        or not admitted becomes the floor.  ``max`` keeps an end equal to the
+        floor as its own object."""
         one = Fraction(1) if model.nu.is_exact else 1.0
         hi = one if hi is None else min(hi, one)
         if not model.above_floor(hi):
             raise ValidationError("empty kappa range")
-        if lo is None or not model.above_floor(lo):
-            lo = min(model.kappa_floor, hi)
-        return cls(lo, hi)
+        floor = model.kappa_floor
+        lo = max(lo, floor) if lo is not None and model.above_floor(lo) else floor
+        return cls(lo, max(hi, floor))
 
 
 def check_average_bias(
@@ -166,7 +167,7 @@ def check_average_bias(
     return dominance_verdict(lam, [model.nu, model.inertia], [1 - kappa_av, kappa_av])
 
 
-class KappaSolution:
+class KappaSolution(NamedTuple):
     """Exact interval of rationalizing average biases plus a diagnosis.
 
     ``diagnosis`` is one of "bayesian-feasible" (zero bias works),
@@ -176,21 +177,12 @@ class KappaSolution:
     prior belongs to the subset.
     """
 
-    def __init__(
-        self,
-        empty: bool,
-        lo: Optional[Num],
-        hi: Optional[Num],
-        diagnosis: str,
-        under_witnesses: tuple[int, ...],
-        over_witnesses: tuple[int, ...],
-    ) -> None:
-        self.empty = empty
-        self.lo = lo
-        self.hi = hi
-        self.diagnosis = diagnosis
-        self.under_witnesses = under_witnesses
-        self.over_witnesses = over_witnesses
+    empty: bool
+    lo: Optional[Num]
+    hi: Optional[Num]
+    diagnosis: str
+    under_witnesses: tuple[int, ...]
+    over_witnesses: tuple[int, ...]
 
 
 def rationalizing_kappa_interval(

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import random
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from capid import Capacity, GroundSet, cli, identification, schemas
 from capid.cli import main
+import gen
 from helpers import capacity_from_mobius
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -264,7 +266,8 @@ class TestKappaFloor:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_an_end_below_the_floor_is_clipped(self, capsys, tmp_path, mode):
         # 2e-9 below the floor lies outside the tolerance: the floor replaces
-        # it; 5e-10 below lies inside it in float mode, so the end stays
+        # it; 5e-10 below lies inside it in float mode, so the end is admitted
+        # and raised to the printed floor
         below = F(-1, 5) - F(2, 10**9)
         code, report = _at_floor(capsys, tmp_path, mode, [str(below), "0"])
         assert code == 0
@@ -274,7 +277,40 @@ class TestKappaFloor:
         code, report = _at_floor(capsys, tmp_path, mode, [str(inside), "0"])
         assert code == 0
         lo = report["result"]["interval"]["lo"]
-        assert lo == ("-1/5" if mode == "exact" else float(inside))
+        assert lo == ("-1/5" if mode == "exact" else report["result"]["kappa_floor"])
+
+    @staticmethod
+    def _assert_no_end_below_the_floor(code, report):
+        assert code in (0, 2), report
+        interval = report["result"]["interval"] if code == 0 else None
+        if interval is not None:
+            floor = F(report["result"]["kappa_floor"])
+            assert F(interval["lo"]) >= floor and F(interval["hi"]) >= floor, report
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("below", [0, F(1, 10**12), F(1, 10**10), F(5, 10**10), F(1, 10**9)])
+    def test_no_printed_end_lies_below_the_floor(self, capsys, tmp_path, mode, below):
+        end = str(F(-1, 5) - below)
+        for kappa_range in ([end, end], ["-1", end], [end, "0"]):
+            self._assert_no_end_below_the_floor(*_at_floor(capsys, tmp_path, mode, kappa_range))
+
+    def test_no_printed_end_lies_below_the_floor_on_seeded_documents(self, capsys, tmp_path):
+        # range ends at each document's exact floor and within the float
+        # tolerance below it
+        rng = random.Random(20261020)
+        path = tmp_path / "updating.json"
+        for _ in range(40):
+            doc = gen.random_updating_doc(rng)
+            floor = schemas.parse_updating(doc, True)[1].kappa_floor
+            for below in (0, F(1, 10**10), F(5, 10**10)):
+                end = str(floor - below)
+                for kappa_range in ([end, end], ["-1", end], [end, "1"]):
+                    doc["kappa_range"] = kappa_range
+                    path.write_text(json.dumps(doc))
+                    for mode in ("exact", "float"):
+                        self._assert_no_end_below_the_floor(*run(
+                            capsys, "identify-kappa", "--input", str(path), "--mode", mode
+                        ))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_below_the_floor_exits_2(self, capsys, tmp_path, mode):
@@ -458,6 +494,17 @@ class TestSimulate:
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
         assert "'typo'" in report["error"]["message"]
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
+    def test_non_integer_seed_exits_2(self, capsys, tmp_path, seed):
+        # a JSON boolean is an int to Python, so the type test must refuse it
+        doc = json.loads(Path(SIMULATE).read_text())
+        doc["seed"] = seed
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, report = run(capsys, "simulate", "--input", str(bad))
+        assert code == 2
+        assert report["error"] == {"type": "ValidationError", "message": "seed must be an integer"}
 
 
 class TestDeterminismAndErrors:

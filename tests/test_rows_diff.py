@@ -154,7 +154,7 @@ def test_kappa_interval_matches_the_per_subset_scan():
             seen["exact" if exact else "float"] += 1
             seen[new.diagnosis] = seen.get(new.diagnosis, 0) + 1
             if exact:
-                assert repr(vars(new)) == repr(vars(old))
+                assert repr(new._asdict()) == repr(old._asdict())
                 continue
             assert (new.empty, new.diagnosis) == (old.empty, old.diagnosis)
             assert (new.under_witnesses, new.over_witnesses) == (
