@@ -26,7 +26,6 @@ is convex, and ``is_convex`` scans any other capacity at most once.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -41,22 +40,9 @@ from .numeric import (
 
 Label = Hashable
 
-_DEFAULT_MAX_N = 20
-
 #: Cap on the candidate vectors core_vertices may generate: about 2.5 s of
 #: work, enough for every ordering of 8 labels (109,600 candidates).
 MAX_CORE_CANDIDATES = 250_000
-
-
-def _max_ground_size() -> int:
-    """Hard cap on |X|; CAPID_MAX_N overrides it at the user's risk."""
-    raw = os.environ.get("CAPID_MAX_N")
-    if raw is None:
-        return _DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CAPID_MAX_N must be an integer, got {raw!r}") from exc
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -102,13 +88,6 @@ def _spread_index(carrier: int, n: int) -> list[int]:
     return index
 
 
-def spread(small: Sequence[Num], carrier: int, n: int) -> tuple[Num, ...]:
-    """The cylindrical extension of a table indexed like
-    ``carrier_masks(carrier)``: entry K of the 2^n result is the very object
-    at K & carrier."""
-    return tuple(map(small.__getitem__, _spread_index(carrier, n)))
-
-
 class Record:
     """Equality, hashing and a dataclass-format repr over a record's fields:
     the names in ``_fields``, or the whole instance ``__dict__`` when
@@ -150,11 +129,6 @@ class GroundSet(Record):
             raise ValidationError("ground set labels must be distinct")
         if len(self.labels) < 1:
             raise ValidationError("ground set must be nonempty")
-        if len(self.labels) > _max_ground_size():
-            raise SizeLimitError(
-                f"ground set of size {len(self.labels)} exceeds the cap "
-                f"{_max_ground_size()} (set CAPID_MAX_N to override)"
-            )
 
     @classmethod
     def of(cls, labels: Iterable[Label]) -> "GroundSet":
@@ -313,7 +287,6 @@ class Capacity(Record):
                 raise ValidationError("empty carrier")
             if self.carrier > self.ground.full_mask:
                 raise ValidationError("carrier is not a subset of the ground set")
-        # int_view reads the carrier, so it comes after the carrier checks
         nums, scale = self.int_view
         shift = tol_shift(self.tol, scale)
         if abs(nums[0]) > shift:
@@ -371,15 +344,8 @@ class Capacity(Record):
 
     @cached_property
     def int_view(self) -> tuple[tuple[int, ...], int]:
-        """The values as int numerators over the lcm of their denominators.
-        Only the carrier's subsets are converted and spread, unless float
-        values off them differ within the tolerance (exact ones never do)."""
-        active, values = self.active, self.values
-        small = [values[mask] for mask in carrier_masks(active)]
-        if len(small) == len(values) or values != spread(small, active, self.ground.size):
-            return int_numerators(values)
-        nums, scale = int_numerators(small)
-        return spread(nums, active, self.ground.size), scale
+        """The values as int numerators over the lcm of their denominators."""
+        return int_numerators(self.values)
 
     @cached_property
     def tol(self) -> Num:
@@ -412,14 +378,7 @@ class Capacity(Record):
         return True
 
     def carried_by(self, carrier: int) -> bool:
-        """Whether nu(K) = nu(K & carrier) for every K, up to the tolerance.
-        Values spread from the carrier's subsets pass at once, on identity
-        when they share objects; the toleranced comparison runs only when
-        some value differs from its spread."""
-        values = self.values
-        small = [values[mask] for mask in carrier_masks(carrier)]
-        if values == spread(small, carrier, self.ground.size):
-            return True
+        """Whether nu(K) = nu(K & carrier) for every K, up to the tolerance."""
         nums, scale = self.int_view
         shift = tol_shift(self.tol, scale)
         return all(abs(num - nums[mask & carrier]) <= shift for mask, num in enumerate(nums))

@@ -205,6 +205,9 @@ def _cmd_identify_kappa(args, doc, exact):
     }
     if args.kappa is not None:
         kappa = parse_number(args.kappa, exact)
+        if model.above_floor(kappa):
+            # a float kappa admitted within the tolerance prints as the floor
+            kappa = max(kappa, model.kappa_floor)
         verdict = check_average_bias(lam, model, grid, kappa)
         result["at_kappa"] = {
             "kappa": format_number(kappa),

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .capacity import Capacity, GroundSet, Label, Measure
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .identification import (
     DecisionRule,
     IdentificationProblem,
@@ -62,20 +63,40 @@ def _require(obj: Mapping[str, Any], key: str):
 # ground sets, measures, capacities
 # ---------------------------------------------------------------------------
 
+_DEFAULT_MAX_N = 20
+
+
+def _capped(ground: GroundSet) -> GroundSet:
+    """A document's ground set, refused past the cap on its labels: 20, or
+    CAPID_MAX_N, which overrides it at the user's risk.  The 2^n subsets of
+    the labels are the only exponential object; rule ids and menus are not
+    capped here."""
+    raw = os.environ.get("CAPID_MAX_N")
+    try:
+        cap = _DEFAULT_MAX_N if raw is None else int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"CAPID_MAX_N must be an integer, got {raw!r}") from exc
+    if ground.size > cap:
+        raise SizeLimitError(
+            f"ground set of size {ground.size} exceeds the cap {cap} (set CAPID_MAX_N to override)"
+        )
+    return ground
+
+
 def parse_ground(labels, numeric: bool = False) -> GroundSet:
     """Numeric labels always parse as exact rationals: they are identifiers
     and their string keys must not depend on the arithmetic mode."""
     if not isinstance(labels, list) or not labels:
         raise ValidationError("labels must be a nonempty list")
     if numeric:
-        return GroundSet(tuple(parse_number(v, exact=True) for v in labels))
+        return _capped(GroundSet(tuple(parse_number(v, exact=True) for v in labels)))
     for label in labels:
         if not isinstance(label, str):
             raise ValidationError("labels must be strings")
         if "," in label or label == "":
             # commas delimit subset keys in capacity documents
             raise ValidationError(f"label {label!r} is not serializable")
-    return GroundSet(tuple(labels))
+    return _capped(GroundSet(tuple(labels)))
 
 
 def label_key(label: Label) -> str:
@@ -362,6 +383,7 @@ def parse_updating(obj, exact: bool):
     values = tuple(parse_number(v, exact=True) for v in grid_values)
     prior = parse_number(_require(obj, "prior"), exact=True)
     grid = OddsGrid.from_values(values, prior)
+    _capped(grid.ground)
     nu = parse_capacity(
         _require(obj, "experiment_capacity"), exact, grid.shifted, numeric_labels=True
     )

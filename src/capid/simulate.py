@@ -14,7 +14,6 @@ from typing import NamedTuple, Sequence
 
 from .capacity import Measure, core_vertices
 from .errors import ValidationError
-from .identification import DecisionRule
 from .info_specs import InfoSpec, build_capacity
 
 PRNG_ID = "python-random-mersenne-twister"
@@ -27,19 +26,18 @@ class SynthResult(NamedTuple):
 
 
 def synth_population(
-    rules: Sequence,
+    rule_ids: Sequence[str],
     specs: Sequence[InfoSpec],
     q: Measure,
     seed: int,
 ) -> SynthResult:
     """Draw one admissible choice distribution per rule and mix them.
 
-    ``rules`` may be DecisionRule objects or bare rule ids.  Each rho_d is a
-    seeded random rational mixture of the core vertices of the rule's
-    capacity, so the returned data is rationalized by ``q`` by construction.
-    The metadata records the PRNG so runs are reproducible.
+    Each rho_d is a seeded random rational mixture of the core vertices of
+    the rule's capacity, in q's arithmetic mode, so the returned data is
+    rationalized by ``q`` by construction.  The metadata records the PRNG
+    so runs are reproducible.
     """
-    rule_ids = [r.rule_id if isinstance(r, DecisionRule) else r for r in rules]
     if len(rule_ids) != len(specs):
         raise ValidationError("rule ids and specifications must align")
     if set(q.ground.labels) != set(rule_ids):
@@ -61,6 +59,8 @@ def synth_population(
             share = Fraction(u, total)
             for i, w in enumerate(vertex.weights):
                 weights[i] += share * w
+        if not q.is_exact:
+            weights = [float(w) for w in weights]
         rho = Measure(ground, tuple(weights), spec.carrier)
         rho_by_rule[rule_id] = rho
         qd = q.weight(rule_id)

@@ -82,13 +82,11 @@ class TestGroundSet:
         with pytest.raises(ValidationError):
             GroundSet.of("aa")
 
-    def test_size_cap(self, monkeypatch):
+    def test_no_size_cap(self, monkeypatch):
+        # the label cap guards documents (schemas.parse_ground), not the
+        # ground sets of rule ids and menus that capid builds
         monkeypatch.setenv("CAPID_MAX_N", "3")
-        from capid.errors import SizeLimitError
-
-        with pytest.raises(SizeLimitError):
-            GroundSet.of("abcd")
-        GroundSet.of("abc")
+        assert GroundSet.of("abcd").size == 4
 
 
 class TestMeasure:

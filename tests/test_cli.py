@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -312,6 +313,43 @@ class TestKappaFloor:
                             capsys, "identify-kappa", "--input", str(path), "--mode", mode
                         ))
 
+    @staticmethod
+    def _assert_kappa_not_below_the_floor(code, report):
+        assert code in (0, 2), report
+        if code == 0:
+            result = report["result"]
+            assert F(result["at_kappa"]["kappa"]) >= F(result["kappa_floor"]), report
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("below", [0, F(1, 10**12), F(1, 10**10), F(5, 10**10), F(1, 10**9)])
+    def test_no_printed_kappa_lies_below_the_floor(self, capsys, tmp_path, mode, below):
+        kappa = f"--kappa={F(-1, 5) - below}"
+        for kappa_range in (None, ["-1", "0"]):
+            self._assert_kappa_not_below_the_floor(
+                *_at_floor(capsys, tmp_path, mode, kappa_range, kappa)
+            )
+
+    def test_no_printed_kappa_lies_below_the_floor_on_seeded_documents(self, capsys, tmp_path):
+        rng = random.Random(20261021)
+        path = tmp_path / "updating.json"
+        admitted = 0
+        for _ in range(40):
+            doc = gen.random_updating_doc(rng)
+            doc.pop("kappa_range", None)
+            path.write_text(json.dumps(doc))
+            floor = schemas.parse_updating(doc, True)[1].kappa_floor
+            for below in (0, F(1, 10**10), F(5, 10**10)):
+                for mode in ("exact", "float"):
+                    code, report = run(
+                        capsys, "identify-kappa", "--input", str(path), "--mode", mode,
+                        f"--kappa={floor - below}",
+                    )
+                    self._assert_kappa_not_below_the_floor(code, report)
+                    admitted += code == 0
+        # the exact floor is admitted in both modes, and the points within
+        # the tolerance in float mode
+        assert admitted >= 40 * 4, admitted
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_below_the_floor_exits_2(self, capsys, tmp_path, mode):
         below = str(F(-1, 5) - F(2, 10**9))
@@ -505,6 +543,131 @@ class TestSimulate:
         code, report = run(capsys, "simulate", "--input", str(bad))
         assert code == 2
         assert report["error"] == {"type": "ValidationError", "message": "seed must be an integer"}
+
+
+    def test_float_report_holds_no_numeric_strings(self, capsys):
+        code, report = run(capsys, "simulate", "--input", SIMULATE, "--mode", "float")
+        assert code == 0
+        numeric = [s for s in _strings(report) if re.fullmatch(r"-?[0-9.]+(/[0-9]+)?", s)]
+        assert not numeric, numeric
+        assert report["synthesis"]["witness"]["ign-ab"]["a"] == 17 / 37
+
+
+def _strings(node):
+    """Every string value in a JSON document."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+
+
+def _ignorance_doc(labels, rules):
+    """A problem document with ``rules`` ignorance rules on all of ``labels``
+    and uniform data, with their uniform Q."""
+    ids = [f"r{i}" for i in range(rules)]
+    doc = {
+        "schema": "capid/1",
+        "labels": labels,
+        "lambda": {label: str(F(1, len(labels))) for label in labels},
+        "rules": [{"id": rid, "carrier": labels, "info_spec": {"tag": "ignorance"}} for rid in ids],
+        "options": {},
+    }
+    return doc, {rid: str(F(1, rules)) for rid in ids}
+
+
+def _menu_doc(menus):
+    """Two preference orders on a..e over the same menus, with the data of
+    their equal split under the uniform menu distribution."""
+    labels = list("abcde")
+    orders = {"pref:a>b>c>d>e": labels, "pref:e>d>c>b>a": labels[::-1]}
+    lam = dict.fromkeys(labels, F(0))
+    rules = []
+    for rid, order in orders.items():
+        choices = {str(i): min(menu, key=order.index) for i, menu in enumerate(menus)}
+        for choice in choices.values():
+            lam[choice] += F(1, 2 * len(menus))
+        rules.append({"id": rid, "menus": menus, "choices": choices, "info_spec": {"tag": "ignorance"}})
+    doc = {
+        "schema": "capid/1",
+        "labels": labels,
+        "lambda": {label: str(w) for label, w in lam.items() if w},
+        "rules": rules,
+        "options": {},
+    }
+    return doc, {rid: "1/2" for rid in orders}
+
+
+class TestSizeCaps:
+    """The label cap guards a document's labels; rules and menus are not
+    labels, and only the commands that enumerate them cap them."""
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_twenty_one_rules_are_answered(self, capsys, tmp_path):
+        doc, q = _ignorance_doc(["a", "b", "c"], 21)
+        path = self._write(tmp_path, doc)
+        for command in ("exists", "check", "bounds"):
+            code, report = run(capsys, command, "--input", path, "--q", json.dumps(q))
+            assert code == 0, report
+        assert report["result"]["feasible"] is True
+        assert len(report["result"]["bounds"]) == 21
+        code, report = run(capsys, "vertices", "--input", path)
+        assert code == 3
+        assert report["error"]["message"] == (
+            f"vertex enumeration supports at most {identification.MAX_RULES_FOR_VERTICES} rules"
+        )
+        del doc["lambda"]
+        doc["q"] = q
+        code, report = run(capsys, "simulate", "--input", self._write(tmp_path, doc))
+        assert code == 0, report
+        assert len(report["synthesis"]["witness"]) == 21
+
+    def test_twenty_one_menus_are_answered(self, capsys, tmp_path):
+        subsets = [
+            [label for i, label in enumerate("abcde") if mask >> i & 1] for mask in range(1, 32)
+        ]
+        menus = [menu for menu in subsets if len(menu) >= 2][:21]
+        doc, q = _menu_doc(menus)
+        path = self._write(tmp_path, doc)
+        code, report = run(capsys, "witness", "--input", path, "--q", json.dumps(q))
+        assert code == 0, report
+        assert report["result"]["verdict"]["rationalizes"] is True
+        code, report = run(capsys, "menu-homog", "--input", path, "--q", json.dumps(q))
+        assert code == 0, report
+        assert report["result"]["feasible"] is True
+        assert len(report["result"]["menus"]) == 21
+
+    @pytest.mark.parametrize("cap", [None, "20", "4"])
+    def test_twenty_one_labels_exit_3(self, capsys, tmp_path, monkeypatch, cap):
+        if cap is None:
+            monkeypatch.delenv("CAPID_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("CAPID_MAX_N", cap)
+        doc, q = _ignorance_doc([f"x{i}" for i in range(21)], 2)
+        path = self._write(tmp_path, doc)
+        for command in ("exists", "check", "bounds", "vertices"):
+            code, report = run(capsys, command, "--input", path, "--q", json.dumps(q))
+            assert code == 3
+            assert report["error"] == {
+                "type": "SizeLimitError",
+                "message": f"ground set of size 21 exceeds the cap {cap or 20} "
+                "(set CAPID_MAX_N to override)",
+            }
+
+    def test_a_repeated_label_exits_2_before_the_cap(self, capsys, tmp_path):
+        doc, q = _ignorance_doc([f"x{i}" for i in range(20)] + ["x0"], 2)
+        code, report = run(capsys, "exists", "--input", self._write(tmp_path, doc))
+        assert code == 2
+        assert report["error"] == {
+            "type": "ValidationError", "message": "ground set labels must be distinct"
+        }
 
 
 class TestDeterminismAndErrors:

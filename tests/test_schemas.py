@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from capid import Capacity, GroundSet, Measure, ValidationError
+from capid.errors import SizeLimitError
 from capid.info_specs import Contamination, IntervalBelief
 from capid.schemas import (
     capacity_json,
@@ -12,7 +13,9 @@ from capid.schemas import (
     measure_json,
     parse_capacity,
     parse_info_spec,
+    parse_ground,
     parse_measure,
+    parse_updating,
 )
 
 AB = GroundSet.of("ab")
@@ -53,6 +56,38 @@ class TestNumberRoundTrip:
         else:
             with pytest.raises(ValidationError):
                 parse_number(value, exact)
+
+
+class TestParseGround:
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("CAPID_MAX_N", "3")
+        with pytest.raises(SizeLimitError, match="size 4 exceeds the cap 3"):
+            parse_ground(list("abcd"))
+        with pytest.raises(SizeLimitError):
+            parse_ground([1, 2, 3, 4], numeric=True)
+        assert parse_ground(list("abc")).labels == tuple("abc")
+
+    def test_label_errors_come_before_the_cap(self, monkeypatch):
+        monkeypatch.setenv("CAPID_MAX_N", "3")
+        with pytest.raises(ValidationError, match="distinct"):
+            parse_ground(list("abca"))
+        with pytest.raises(ValidationError, match="not serializable"):
+            parse_ground(["a", "b", "c", ""])
+
+    def test_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CAPID_MAX_N", "many")
+        with pytest.raises(ValidationError, match="CAPID_MAX_N must be an integer"):
+            parse_ground(list("ab"))
+
+    def test_odds_grid_is_capped_after_its_own_checks(self, monkeypatch):
+        monkeypatch.setenv("CAPID_MAX_N", "3")
+        doc = {"schema": "capid/1", "grid": [0, 1, 2, 3], "prior": 1}
+        with pytest.raises(SizeLimitError, match="size 4 exceeds the cap 3"):
+            parse_updating(doc, True)
+        with pytest.raises(ValidationError, match="prior odds value must belong"):
+            parse_updating({**doc, "prior": 7}, True)
+        with pytest.raises(ValidationError, match="distinct"):
+            parse_updating({**doc, "grid": [0, 1, 2, 1]}, True)
 
 
 class TestCapacityJson:

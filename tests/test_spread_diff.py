@@ -2,8 +2,8 @@
 every mask, against the per-mask formulas they replaced.
 
 ``build_capacity`` evaluates each parametric family once per subset of the
-carrier C and ``spread`` shares each value, as the same object, with every
-mask K where K & C is that subset.  The oracle evaluates the formula anew at
+carrier C and ``Capacity._derived`` shares each value, as the same object,
+with every mask K where K & C is that subset.  The oracle evaluates the formula anew at
 every mask.  Comparisons are by ``repr``, so an int that became a Fraction,
 or a float that moved by one bit, fails them.
 """
@@ -14,7 +14,7 @@ from collections import Counter
 import gen
 from capacity_oracle import literal_build_capacity
 from capid import GroundSet, Measure
-from capid.capacity import carrier_masks, spread, submasks
+from capid.capacity import _spread_index, carrier_masks, submasks
 from capid.info_specs import (
     Contamination,
     IntervalBelief,
@@ -109,14 +109,13 @@ def test_carrier_first_capacities_match_the_per_mask_formulas():
 
 
 def test_spread_is_the_cylindrical_extension():
+    # _spread_index maps every mask K to the position of K & carrier
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 7)
         carrier = rng.randint(1, (1 << n) - 1)
         masks = carrier_masks(carrier)
         assert masks == sorted(submasks(carrier))
-        small = [object() for _ in masks]
         where = {mask: t for t, mask in enumerate(masks)}
-        wide = spread(small, carrier, n)
-        assert len(wide) == 1 << n
-        assert all(wide[k] is small[where[k & carrier]] for k in range(1 << n))
+        index = _spread_index(carrier, n)
+        assert index == [where[k & carrier] for k in range(1 << n)]
