@@ -35,7 +35,7 @@ from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
     FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number, int_numerators,
-    tol_for, tol_shift,
+    tol_shift,
 )
 
 Label = Hashable
@@ -520,12 +520,13 @@ def decompose_in_mixture_core(
         if c.ground != ground:
             raise ValidationError("components live on a different ground set")
     n = ground.size
-    tol = tol_for(weights)
+    exact_weights = all_exact(weights)
+    tol = ZERO if exact_weights else FLOAT_TOL
     w_nums, w_scale = int_numerators(weights)
     # the left-to-right float sum decides, as in Measure
     if min(w_nums, default=0) < -tol_shift(tol, w_scale) or abs(fold_sum(weights) - 1) > tol:
         raise ValidationError("mixture weights must be a probability vector")
-    exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
+    exact = p.is_exact and all(c.is_exact for c in capacities) and exact_weights
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
     slack_num, slack_den = slack.as_integer_ratio()
 

@@ -45,18 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
             "updating biases from posterior-odds data."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--input", required=True, help="path to the input JSON document")
-        cmd.add_argument("--output", default=None, help="report path (default: stdout)")
-        cmd.add_argument(
-            "--mode", choices=("exact", "float"), default="exact",
-            help="arithmetic mode (default: exact rationals)",
-        )
-        cmd.add_argument("--seed", type=int, default=None, help="PRNG seed override")
-        cmd.add_argument("--q", default=None, help="inline Q as JSON, e.g. '{\"r1\": \"1/2\"}'")
-        cmd.add_argument("--kappa", default=None, help="evaluate a single average bias")
+    parser.add_argument("command", choices=COMMANDS, help="the query to run")
+    parser.add_argument("--input", required=True, help="path to the input JSON document")
+    parser.add_argument("--output", default=None, help="report path (default: stdout)")
+    parser.add_argument(
+        "--mode", choices=("exact", "float"), default="exact",
+        help="arithmetic mode (default: exact rationals)",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="PRNG seed override")
+    parser.add_argument("--q", default=None, help="inline Q as JSON, e.g. '{\"r1\": \"1/2\"}'")
+    parser.add_argument("--kappa", default=None, help="evaluate a single average bias")
     return parser
 
 
@@ -73,10 +71,13 @@ def _require_q(args, problem, exact):
 
 
 def _menu_weights_json(collection, pi):
-    """A measure over menus as ``{menu key: weight}``, without its zeros."""
+    """A measure over menus as ``{menu key: weight}``: equal menus add up, zeros drop."""
+    totals = {}
+    for menu, w in zip(collection.menus, pi.weights):
+        totals[menu] = totals.get(menu, 0) + w
     return {
         collection.ground.subset_key(menu): format_number(w)
-        for menu, w in zip(collection.menus, pi.weights)
+        for menu, w in totals.items()
         if w != 0
     }
 
@@ -228,7 +229,7 @@ def _cmd_capacity_audit(args, doc, exact):
         "belief_function": is_belief_function(nu),
         "carrier": [schemas.label_key(l) for l in nu.ground.labels_of(nu.active)],
         "core_vertex_count": vertex_count,
-        "capacity": schemas.capacity_json(nu),
+        "capacity": schemas.capacity_json(nu, exact),
     }
     return result
 
@@ -310,19 +311,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         result = _HANDLERS[args.command](args, doc, exact)
-    except SizeLimitError as exc:
-        _write(_error_report(args.command, args.mode, digest, exc), args.output)
-        return 3
-    except ValidationError as exc:
-        _write(_error_report(args.command, args.mode, digest, exc), args.output)
-        return 2
     except Exception as exc:
-        # input that passed validation and still failed is a fault in capid
-        import traceback  # only on this path: start-up does not pay for it
+        code = 3 if isinstance(exc, SizeLimitError) else 2 if isinstance(exc, ValidationError) else 4
+        if code == 4:
+            # input that passed validation and still failed is a fault in capid
+            import traceback  # only on this path: start-up does not pay for it
 
-        traceback.print_exc()
+            traceback.print_exc()
         _write(_error_report(args.command, args.mode, digest, exc), args.output)
-        return 4
+        return code
     # the simulate report is itself a problem document consumable by the
     # identification commands; its report fields sit alongside
     fields = result if args.command == "simulate" else {"result": result}

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .capacity import Capacity, GroundSet, Measure, Record, is_convex, mass_table, submasks
 from .errors import NotConvexError, ValidationError
-from .numeric import ONE, ZERO, Num, fold_sum, int_numerators, tol_for, tol_shift
+from .numeric import FLOAT_TOL, ONE, ZERO, Num, all_exact, fold_sum, int_numerators, tol_shift
 
 
 class InfoSpec(Record):
@@ -130,8 +130,9 @@ class IntervalBelief(InfoSpec):
         if len(self.lower) != n or len(self.upper) != n:
             raise ValidationError("bound vectors have wrong length")
         # the bounds over one denominator, lower first
-        nums, scale = int_numerators((*self.lower, *self.upper))
-        shift = tol_shift(tol_for(self.lower, self.upper), scale)
+        bounds = (*self.lower, *self.upper)
+        nums, scale = int_numerators(bounds)
+        shift = tol_shift(ZERO if all_exact(bounds) else FLOAT_TOL, scale)
         for i, low, up in zip(range(n), nums, nums[n:]):
             if low < -shift:
                 raise ValidationError("lower bounds must be nonnegative")
@@ -251,7 +252,7 @@ def spec_contains(spec: InfoSpec, rho: Measure) -> bool:
     """Membership by the defining formula, independent of ``build_capacity``."""
     if rho.ground != spec.ground:
         raise ValidationError("measure lives on a different ground set")
-    tol = tol_for(rho.weights)
+    tol = rho.tol
     carrier = spec.carrier
     outside = rho.support() & ~carrier
     if outside:
@@ -280,7 +281,7 @@ def spec_contains(spec: InfoSpec, rho: Measure) -> bool:
     if isinstance(spec, ExplicitCapacity):
         # core membership: rho(K) >= nu(K) for every subset K
         nu = build_capacity(spec)
-        core_tol = tol_for(nu.values, rho.weights)
+        core_tol = max(nu.tol, rho.tol)
         return all(pk >= nuk - core_tol for pk, nuk in zip(mass_table(rho.weights), nu.values))
     if isinstance(spec, PointMass):
         return all(abs(a - b) <= tol for a, b in zip(rho.weights, spec.rho.weights))

@@ -52,16 +52,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .numeric import int_numerators
+from .numeric import ONE, ZERO, int_numerators
 
 Row = Sequence[Fraction]
 #: Constraints in the kernel's row form: each row's int numerators, and its
 #: (right-hand side, positive denominator).
 IntRows = Sequence[Sequence[int]]
 Tails = Sequence[tuple[int, int]]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LpResult(NamedTuple):
@@ -264,7 +261,7 @@ def _phase2(c: Row, rows: list[list[int]], basis: list[int], nonbasic: list[int]
     status = _run_simplex(tableau, basis, nonbasic[:])
     if status == "unbounded":
         return LpResult("unbounded", None, None)
-    x = [_ZERO] * n
+    x = [ZERO] * n
     for row, var in zip(tableau, basis):
         if var < n:
             x[var] = Fraction(row[-2], row[-1])
@@ -309,7 +306,7 @@ def feasible_point(
     a_ub: IntRows, b_ub: Tails, a_eq: IntRows, b_eq: Tails, nvars: int
 ) -> Optional[tuple[Fraction, ...]]:
     """A basic feasible point of the system, or None when infeasible."""
-    res = solve_lp([_ZERO] * nvars, a_ub, b_ub, a_eq, b_eq)
+    res = solve_lp([ZERO] * nvars, a_ub, b_ub, a_eq, b_eq)
     return res.x if res.status == "optimal" else None
 
 
@@ -330,7 +327,7 @@ def simplex_polytope_vertices(
     """
     full = (1 << dim) - 1
     verts = [
-        (tuple(_ONE if j == i else _ZERO for j in range(dim)), full ^ (1 << i))
+        (tuple(ONE if j == i else ZERO for j in range(dim)), full ^ (1 << i))
         for i in range(dim)
     ]
     for k, (coeffs, (rhs, _)) in enumerate(zip(a_ub, b_ub)):

@@ -45,14 +45,6 @@ def all_exact(values: Iterable[Num]) -> bool:
     return _EXACT_TYPES.issuperset(map(type, values)) or all(map(is_exact_value, values))
 
 
-def tol_for(*collections: Iterable[Num]) -> Num:
-    """Zero for all-exact inputs, FLOAT_TOL as soon as any float appears."""
-    for values in collections:
-        if not all_exact(values):
-            return FLOAT_TOL
-    return ZERO
-
-
 def fold_sum(values: Iterable[Num]) -> Num:
     """values added left to right to int 0, the order sum() used before
     Python 3.12; sum() now compensates float sums, which would make float

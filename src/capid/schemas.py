@@ -21,9 +21,9 @@ from .identification import (
     DecisionRule,
     IdentificationProblem,
     MenuCollection,
-    ProblemRule,
     Verdict,
     choice_range,
+    problem_from_info_specs,
 )
 from .info_specs import (
     Contamination,
@@ -182,11 +182,13 @@ def parse_capacity(
     return Capacity(ground, tuple(values), carrier)
 
 
-def capacity_json(c: Capacity) -> dict[str, Any]:
+def capacity_json(c: Capacity, exact: bool = True) -> dict[str, Any]:
+    """Float mode prints every value as a double, even a derived capacity's ints."""
+    number = format_number if exact else float
     out: dict[str, Any] = {
         "labels": [label_key(l) for l in c.ground.labels],
         "values": {
-            c.ground.subset_key(mask): format_number(c.values[mask])
+            c.ground.subset_key(mask): number(c.values[mask])
             for mask in c.ground.masks()
         },
     }
@@ -342,15 +344,11 @@ def parse_problem(obj, exact: bool) -> ProblemBundle:
     check_schema(obj)
     ground = parse_ground(_require(obj, "labels"))
     lam = parse_measure(_require(obj, "lambda"), ground, exact)
-    problem_rules: list[ProblemRule] = []
-    decision_rules: dict[str, DecisionRule] = {}
-    collections: dict[str, MenuCollection] = {}
-    for _, rule_id, spec, rule, collection in _parse_rules(obj, ground, exact):
-        if rule is not None:
-            decision_rules[rule_id] = rule
-            collections[rule_id] = collection
-        problem_rules.append(ProblemRule(rule_id, spec.carrier, build_capacity(spec)))
-    problem = IdentificationProblem(ground, tuple(problem_rules), lam)
+    parsed = _parse_rules(obj, ground, exact)
+    problem = problem_from_info_specs(ground, [(rid, spec) for _, rid, spec, _, _ in parsed], lam)
+    # rules given by menus and choices; the others have neither
+    decision_rules = {rid: rule for _, rid, _, rule, _ in parsed if rule is not None}
+    collections = {rid: c for _, rid, _, rule, c in parsed if rule is not None}
     return ProblemBundle(problem, decision_rules, collections)
 
 

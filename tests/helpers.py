@@ -20,9 +20,9 @@ from typing import Mapping, Optional, Sequence
 from capid.capacity import Capacity, GroundSet, Label, Measure, _moebius, mass_table
 from capid.errors import ValidationError
 from capid.identification import DecisionRule, MenuCollection
-from capid.numeric import Num, fold_sum, tol_for
+from capid.numeric import Num, fold_sum
 from capid.updating import ExperimentModel, OddsGrid
-from oracle import eq, ge
+from oracle import eq, ge, tol_for
 
 
 def uniform(ground: GroundSet, mask: Optional[int] = None) -> Measure:

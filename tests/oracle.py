@@ -27,8 +27,9 @@ capacity's values and decides on the values themselves, so in float mode on
 rounded floats, within the tolerance.
 
 ``ge`` and ``eq`` are the toleranced comparisons that ``capid.numeric`` kept
-for the parse-time checks, and the ``float_*`` functions are those checks as
-they ran on the values themselves, before they read int numerators: a
+for the parse-time checks, ``tol_for`` the tolerance they were given, and
+the ``float_*`` functions are those checks as they ran on the values
+themselves, before they read int numerators: a
 measure's weights, its support, a capacity's boundary values and constancy
 across a carrier, mixture weights, interval-belief bounds and the updating
 model's pure-noise test.  Each ``*_error`` function returns the message the
@@ -44,11 +45,19 @@ from capid.identification import (
     MAX_REPORTED_VIOLATIONS, DecisionRule, IdentificationProblem, MenuCollection, Verdict,
 )
 from capid.numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number, tol_for,
+    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number,
 )
 from capid.updating import ExperimentModel, KappaRange, KappaSolution, OddsGrid
 
 _ZERO = F(0)
+
+
+def tol_for(*collections: Sequence[Num]) -> Num:
+    """Zero for all-exact inputs, FLOAT_TOL as soon as any float appears."""
+    for values in collections:
+        if not all_exact(values):
+            return FLOAT_TOL
+    return ZERO
 
 
 def ge(a: Num, b: Num, tol: Num) -> bool:

@@ -201,6 +201,39 @@ class TestMenuHomog:
         assert report["result"]["pi"]["b,c"] == "2/3"
 
 
+class TestEqualMenus:
+    """A menu listed twice keeps both weights: pi and the witness's menu
+    measures add them up under the menu's one key."""
+
+    @staticmethod
+    def _doc(tmp_path):
+        path = tmp_path / "equal_menus.json"
+        path.write_text(json.dumps({
+            "schema": "capid/1",
+            "labels": ["a", "b"],
+            "lambda": {"a": "1/2", "b": "1/2"},
+            "rules": [{
+                "id": "r",
+                "menus": [["a", "b"], ["a", "b"]],
+                "choices": {"0": "a", "1": "b"},
+                "info_spec": {"tag": "ignorance"},
+            }],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("mode,one", [("exact", "1"), ("float", 1.0)])
+    def test_pi_adds_equal_menus(self, capsys, tmp_path, mode, one):
+        path = self._doc(tmp_path)
+        q = json.dumps({"r": "1"})
+        code, report = run(capsys, "menu-homog", "--input", path, "--q", q, "--mode", mode)
+        assert code == 0
+        assert report["result"]["menus"] == [["a", "b"], ["a", "b"]]
+        assert report["result"]["pi"] == {"a,b": one}
+        code, report = run(capsys, "witness", "--input", path, "--q", q, "--mode", mode)
+        assert code == 0
+        assert report["result"]["menu_measures"] == {"r": {"a,b": one}}
+
+
 class TestIdentifyKappa:
     def test_interval_and_diagnosis(self, capsys):
         code, report = run(capsys, "identify-kappa", "--input", UPDATING)
@@ -369,6 +402,19 @@ class TestCapacityAudit:
         assert result["convex"] is True
         assert result["belief_function"] is True
         assert result["core_vertex_count"] == 1
+
+    def test_float_audit_prints_doubles(self, capsys, tmp_path):
+        ignorance = tmp_path / "ignorance.json"
+        ignorance.write_text(json.dumps(
+            {"schema": "capid/1", "labels": ["a", "b"], "info_spec": {"tag": "ignorance"}}
+        ))
+        values = []
+        for path in (AUDIT, str(ignorance)):
+            code, report = run(capsys, "capacity-audit", "--input", path, "--mode", "float")
+            assert code == 0
+            values.append(report["result"]["capacity"]["values"])
+            assert not [v for v in values[-1].values() if isinstance(v, str)], values[-1]
+        assert values[1] == {"": 0.0, "a": 0.0, "b": 0.0, "a,b": 1.0}
 
     @staticmethod
     def _audit_doc(tmp_path, nu):
@@ -668,6 +714,36 @@ class TestSizeCaps:
         assert report["error"] == {
             "type": "ValidationError", "message": "ground set labels must be distinct"
         }
+
+
+class TestParser:
+    """One parser: the command is a positional, and the options may come
+    before or after it."""
+
+    def test_options_before_the_command(self, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert main(["--mode", "float", "bounds", "--input", NESTED, "--output", str(out)]) == 0
+        golden = Path(__file__).resolve().parent / "golden"
+        assert out.read_bytes() == (golden / "nested_menus_six_orders.bounds.float.json").read_bytes()
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuch", "--input", NESTED])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_input_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds"])
+        assert exc.value.code == 2
+        assert "--input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_every_command_prints_the_one_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
 class TestDeterminismAndErrors:

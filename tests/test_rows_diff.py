@@ -29,10 +29,10 @@ from capid.identification import (
     check_rationalizes,
 )
 from capid.info_specs import build_capacity
-from capid.numeric import tol_for
 from capid.updating import KappaRange, check_average_bias, rationalizing_kappa_interval
 from helpers import biased_capacity, core_contains
 from lp_oracle import fraction_rows, kernel_rows
+from oracle import tol_for
 
 CASES = 240
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
