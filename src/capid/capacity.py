@@ -29,13 +29,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, format_number, int_numerators,
-    tol_shift,
+    FLOAT_TOL, ZERO, Num, all_exact, fold_sum, format_number, int_numerators, tol_shift,
 )
 
 Label = Hashable
@@ -43,16 +42,6 @@ Label = Hashable
 #: Cap on the candidate vectors core_vertices may generate: about 2.5 s of
 #: work, enough for every ordering of 8 labels (109,600 candidates).
 MAX_CORE_CANDIDATES = 250_000
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of ``mask``, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def mass_table(weights: Sequence[Num]) -> list[Num]:
@@ -74,18 +63,11 @@ def carrier_masks(active: int) -> list[int]:
 
 
 def _spread_index(carrier: int, n: int) -> list[int]:
-    """Entry K is the position of K & carrier in ``carrier_masks(carrier)``.
-    The list doubles per label, as ``mass_table`` does, stepping only on the
-    carrier's labels."""
-    index = [0]
-    step = 1
-    for i in range(n):
-        if carrier >> i & 1:
-            index += [t + step for t in index]
-            step <<= 1
-        else:
-            index += index
-    return index
+    """Entry K is the position of K & carrier in ``carrier_masks(carrier)``:
+    the subset sums of the bits that rank each carrier label in the carrier."""
+    return mass_table(
+        [1 << (carrier & ((1 << i) - 1)).bit_count() if carrier >> i & 1 else 0 for i in range(n)]
+    )
 
 
 class Record:
@@ -369,7 +351,7 @@ class Capacity(Record):
         for a, bit_i in enumerate(bits):
             for bit_j in bits[a + 1:]:
                 pair = bit_i | bit_j
-                for mask in submasks(active & ~pair):
+                for mask in carrier_masks(active & ~pair):
                     if (
                         values[mask | pair] + values[mask] + shift
                         < values[mask | bit_i] + values[mask | bit_j]
@@ -429,31 +411,24 @@ def _cell(w: Num) -> int:
     return math.floor(w * 1e6 + 0.5)
 
 
-def _dedupe_measures(measures: Iterable[Measure]) -> list[Measure]:
-    """The measures in order, without those equal to one kept before: exactly
-    in exact mode, within FLOAT_TOL in every weight otherwise.  A kept float
-    vector is filed under its weights' cells, and a new one is compared only
-    with the vectors in the cells its tolerance box touches, the box widened
-    by 2 FLOAT_TOL against rounding in the cell arithmetic."""
-    exact: dict[tuple, Measure] = {}
-    fuzzy: dict[tuple[int, ...], list[Measure]] = {}
+def _merge_close(vectors: Iterable[tuple[Num, ...]]) -> list[tuple[Num, ...]]:
+    """The vectors in order, without those within FLOAT_TOL in every weight
+    of one kept before.  A kept vector is filed under its weights' cells,
+    and a new one is compared only with the vectors in the cells its
+    tolerance box touches, the box widened by 2 FLOAT_TOL against rounding
+    in the cell arithmetic."""
+    kept: dict[tuple[int, ...], list[tuple[Num, ...]]] = {}
     reach = 3 * FLOAT_TOL
-    out: list[Measure] = []
-    for m in measures:
-        if m.is_exact:
-            key = tuple(as_fraction(w) for w in m.weights)
-            if key not in exact:
-                exact[key] = m
-                out.append(m)
-        else:
-            spans = [range(_cell(w - reach), _cell(w + reach) + 1) for w in m.weights]
-            if not any(
-                all(abs(a - b) <= FLOAT_TOL for a, b in zip(m.weights, kept.weights))
-                for cell in product(*spans)
-                for kept in fuzzy.get(cell, ())
-            ):
-                fuzzy.setdefault(tuple(map(_cell, m.weights)), []).append(m)
-                out.append(m)
+    out: list[tuple[Num, ...]] = []
+    for v in vectors:
+        spans = [range(_cell(w - reach), _cell(w + reach) + 1) for w in v]
+        if not any(
+            all(abs(a - b) <= FLOAT_TOL for a, b in zip(v, other))
+            for cell in product(*spans)
+            for other in kept.get(cell, ())
+        ):
+            kept.setdefault(tuple(map(_cell, v)), []).append(v)
+            out.append(v)
     return out
 
 
@@ -466,8 +441,9 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
     |C|! of them this keeps, for each prefix set S, the distinct tails: the
     increment vectors on the labels outside S, built from the tails of S+i
     over i in ascending order.  The vertices come out in the order in which
-    the lexicographic walk over orderings first meets them.  Raises
-    SizeLimitError past MAX_CORE_CANDIDATES candidate tails, and
+    the lexicographic walk over orderings first meets them, less those
+    within FLOAT_TOL of one met before when the capacity holds a double.
+    Raises SizeLimitError past MAX_CORE_CANDIDATES candidate tails, and
     NotConvexError for a capacity that is not convex, where marginal vectors
     stop being a vertex description.
     """
@@ -477,10 +453,6 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
     values = nu.values
     active = nu.active
     bits = [(1 << i, i) for i in range(ground.size) if active >> i & 1]
-    # _dedupe_measures compares a vector that holds a float only with other
-    # such vectors, so when values mix floats and exact numbers, equal tails
-    # merge only if both hold a float or neither does
-    mixed = not nu.is_exact and not all(isinstance(v, float) for v in values)
     tails: dict[int, list[tuple[Num, ...]]] = {active: [(0,) * ground.size]}
     candidates = 0
     for prefix in reversed(carrier_masks(active)[:-1]):
@@ -497,10 +469,10 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
             step = values[prefix | bit] - values[prefix]
             for tail in tails[prefix | bit]:
                 vector = tail[:i] + (step,) + tail[i + 1:]
-                key = (vector, not all_exact(vector)) if mixed else vector
-                level.setdefault(key, vector)
+                level.setdefault(vector, vector)
         tails[prefix] = list(level.values())
-    return tuple(_dedupe_measures(Measure._derived(ground, v, active) for v in tails[0]))
+    vectors = tails[0] if nu.is_exact else _merge_close(tails[0])
+    return tuple(Measure._derived(ground, v, active) for v in vectors)
 
 
 def decompose_in_mixture_core(
@@ -528,7 +500,6 @@ def decompose_in_mixture_core(
         raise ValidationError("mixture weights must be a probability vector")
     exact = p.is_exact and all(c.is_exact for c in capacities) and exact_weights
     slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
-    slack_num, slack_den = slack.as_integer_ratio()
 
     active = [i for i, w in enumerate(weights) if w > 0]
     # variables: for each active component, the weights on its carrier labels
@@ -556,24 +527,24 @@ def decompose_in_mixture_core(
         a_eq.append(row)
         b_eq.append((1, 1))
         # p_i(K) >= nu_i(K) less the slack, written on the complement so the
-        # right-hand side stays nonnegative: p_i(C\K) <= 1 - nu_i(K) + slack.
-        # With nu_i(K) as N_K over L and the slack as s over t, the row is
-        # [L t..., (L - N_K) t + s L, L t].
+        # right-hand side stays nonnegative: p_i(C\K) <= 1 - nu_i(K) + slack,
+        # with nu_i(K) as N_K over L
         nums, scale = cap.int_view
-        unit = scale * slack_den
-        for mask in submasks(carrier):
-            if not mask or mask == carrier:
-                continue
+        masks = [mask for mask in reversed(carrier_masks(carrier)) if mask and mask != carrier]
+        rows = []
+        for mask in masks:
             row = [0] * nvars
             comp = carrier & ~mask
             for i, var in var_of[ci].items():
                 if comp >> i & 1:
-                    row[var] = unit
-            a_ub.append(row)
-            b_ub.append(((scale - nums[mask]) * slack_den + slack_num * scale, unit))
-    # the mix-back sum_i w_i p_i(a) = p(a), over the weights' and p's scales
+                    row[var] = 1
+            rows.append(row)
+        rhs = [scale - nums[mask] for mask in masks]
+        core_a, core_b = lp.scaled_rows(rows, 1, rhs, scale, slack)
+        a_ub += core_a
+        b_ub += core_b
+    # the mix-back sum_i w_i p_i(a) = p(a), with the weights over W and p over P
     p_nums, p_scale = p.int_view
-    den = w_scale * p_scale
     mix_rows: list[list[int]] = []
     targets: list[int] = []
     for i in range(n):
@@ -582,7 +553,7 @@ def decompose_in_mixture_core(
         for ci in active:
             var = var_of[ci].get(i)
             if var is not None:
-                row[var] = w_nums[ci] * p_scale
+                row[var] = w_nums[ci]
                 covered = True
         if not covered:
             # mass on a label no active carrier holds, beyond the slack
@@ -590,26 +561,23 @@ def decompose_in_mixture_core(
                 return None
             continue
         mix_rows.append(row)
-        targets.append(p_nums[i] * w_scale)
+        targets.append(p_nums[i])
 
     if exact:
-        mix_rhs = [(target, den) for target in targets]
-        solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_rows, b_eq + mix_rhs, nvars)
+        mix_a, mix_b = lp.scaled_rows(mix_rows, w_scale, targets, p_scale)
+        solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_a, b_eq + mix_b, nvars)
     else:
         # float weights cannot meet the mix-back exactly, so it becomes a band.
         # Half the tolerance on either side leaves room to round the parts to
         # floats; the full tolerance, which the dominance check allows, is the
         # fallback for data that sits at the edge of that check.
         for band in (slack / 2, slack):
-            # target/den +- band, all over den * band's denominator
-            up, band_den = band.numerator * den, band.denominator
-            band_rows, band_rhs = [], []
-            for row, target in zip(mix_rows, targets):
-                scaled = [v * band_den for v in row]
-                band_rows += [scaled, [-v for v in scaled]]
-                shift = target * band_den
-                band_rhs += [(shift + up, den * band_den), (up - shift, den * band_den)]
-            solution = lp.feasible_point(a_ub + band_rows, b_ub + band_rhs, a_eq, b_eq, nvars)
+            # each label's row and its negation, both up to the band
+            band_a, band_b = lp.scaled_rows(
+                [r for row in mix_rows for r in (row, [-v for v in row])], w_scale,
+                [r for target in targets for r in (target, -target)], p_scale, band,
+            )
+            solution = lp.feasible_point(a_ub + band_a, b_ub + band_b, a_eq, b_eq, nvars)
             if solution is not None:
                 break
     if solution is None:

@@ -293,6 +293,11 @@ def _error_report(command: str, mode: str, digest: Optional[str], exc: Exception
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1/5" for an option, so "--kappa -1/5" goes as "--kappa=-1/5"
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--kappa" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = ["--kappa=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     exact = args.mode == "exact"
     try:

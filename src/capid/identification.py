@@ -48,9 +48,7 @@ from .capacity import (
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
-from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, as_fraction, fold_sum, int_numerators, tol_shift,
-)
+from .numeric import FLOAT_TOL, ZERO, Num, all_exact, fold_sum, int_numerators, tol_shift
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
 MAX_RULES_FOR_VERTICES = 8
@@ -244,7 +242,7 @@ def _lp_rows(
     smallest right-hand side; both are pure reductions of the same feasible set.
     Rows come out sorted by value.  The coefficients are ``_dominance_rows``'
     ints over L and the right-hand sides its ints over D, plus ``share`` of
-    the tolerance as s over t, all put over L * D * t.
+    the tolerance, all put over one row denominator by ``lp.scaled_rows``.
     """
     caps = [r.capacity for r in problem.rules]
     tol, (scale, lam_scale), rows = _dominance_rows(problem.data, caps)
@@ -254,11 +252,10 @@ def _lp_rows(
             best[column] = lam_k
     # ints over shared positive scales compare as their values
     kept = sorted(best.items())
-    # c/L . Q <= r/D + s/t, times L * D * t; s is 0 and t is 1 in exact mode
-    s, t = (as_fraction(tol) * share).as_integer_ratio()
-    coef, unit, lift, den = lam_scale * t, scale * t, s * scale * lam_scale, scale * lam_scale * t
-    a_ub = [[v * coef for v in c] for c, _ in kept]
-    return not tol, a_ub, [(r * unit + lift, den) for _, r in kept]
+    a_ub, b_ub = lp.scaled_rows(
+        [c for c, _ in kept], scale, [r for _, r in kept], lam_scale, tol * share
+    )
+    return not tol, a_ub, b_ub
 
 
 def _measure_over_rules(
@@ -409,26 +406,25 @@ def check_menu_homogeneous(
     k = len(collection.menus)
     exact = all_exact(lam.weights) and all_exact(q.weights)
     # alternative a's row holds, at menu j, the Q-weight of the rules that
-    # pick a there, and its right-hand side is lambda(a): Q as ints over W,
-    # lambda over D and the tolerance as s over t, all put over W * D * t
+    # pick a there, and its right-hand side is lambda(a): Q as ints over W
+    # and lambda over D
     w_nums, w_scale = int_numerators([q.weight(rule.rule_id) for rule in rules])
     lam_nums, lam_scale = lam.int_view
-    s, t = (ZERO if exact else FLOAT_TOL).as_integer_ratio()
-    den = w_scale * lam_scale * t
     rows = [
-        [sum(w for w, r in zip(w_nums, rules) if r.choices[j] == label) * lam_scale * t
-         for j in range(k)]
+        [sum(w for w, r in zip(w_nums, rules) if r.choices[j] == label) for j in range(k)]
         for label in ground.labels
     ]
-    targets = [v * w_scale * t for v in lam_nums]
     if exact:
         a_ub, b_ub = [], []
-        a_eq, b_eq = rows + [[1] * k], [(v, den) for v in targets] + [(1, 1)]
+        a_eq, b_eq = lp.scaled_rows(rows, w_scale, lam_nums, lam_scale)
+        a_eq.append([1] * k)
+        b_eq.append((1, 1))
     else:
         # relax the per-alternative equalities into a +/- tolerance band
-        band = s * w_scale * lam_scale
-        a_ub = rows + [[-v for v in row] for row in rows]
-        b_ub = [(v + band, den) for v in targets] + [(band - v, den) for v in targets]
+        a_ub, b_ub = lp.scaled_rows(
+            rows + [[-v for v in row] for row in rows], w_scale,
+            [*lam_nums, *(-v for v in lam_nums)], lam_scale, FLOAT_TOL,
+        )
         a_eq, b_eq = [[1] * k], [(1, 1)]
     point = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, k)
     if point is None:

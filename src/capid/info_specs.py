@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .capacity import Capacity, GroundSet, Measure, Record, is_convex, mass_table, submasks
+from .capacity import Capacity, GroundSet, Measure, Record, carrier_masks, is_convex, mass_table
 from .errors import NotConvexError, ValidationError
 from .numeric import FLOAT_TOL, ONE, ZERO, Num, all_exact, fold_sum, int_numerators, tol_shift
 
@@ -268,10 +268,10 @@ def spec_contains(spec: InfoSpec, rho: Measure) -> bool:
                 return False
         return True
     if isinstance(spec, VariationNeighborhood):
-        worst = max(abs(rho.mass(k) - spec.reference.mass(k)) for k in submasks(carrier))
+        worst = max(abs(rho.mass(k) - spec.reference.mass(k)) for k in carrier_masks(carrier))
         return spec.epsilon >= worst - tol
     if isinstance(spec, IntervalBelief):
-        for k in submasks(carrier):
+        for k in carrier_masks(carrier):
             value = rho.mass(k)
             if value < IntervalBelief._sum(spec.lower, k) - tol:
                 return False

@@ -40,8 +40,9 @@ the equalities.  A row may be over any common denominator and carry any
 positive factor: the simplex divides it by the gcd of its entries, and
 double description reads only the signs of its slacks and their ratios.
 Every caller builds its rows from int numerators it already holds, a float
-at its exact binary value; float callers put their tolerance on inequality
-right-hand sides as an exact slack.  The objectives may be ints, Fractions
+at its exact binary value, and ``scaled_rows`` puts them over one row
+denominator; float callers put their tolerance on inequality right-hand
+sides as an exact slack.  The objectives may be ints, Fractions
 or floats, and ``numeric.int_numerators`` puts each over its least common
 denominator.  Points, vertices and objective values come back as Fractions.
 """
@@ -52,13 +53,26 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .numeric import ONE, ZERO, int_numerators
+from .numeric import ONE, ZERO, Num, int_numerators
 
 Row = Sequence[Fraction]
 #: Constraints in the kernel's row form: each row's int numerators, and its
 #: (right-hand side, positive denominator).
 IntRows = Sequence[Sequence[int]]
 Tails = Sequence[tuple[int, int]]
+
+
+def scaled_rows(
+    coeffs: IntRows, C: int, rhs: Sequence[int], R: int, slack: Num = 0
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The rows ``c/C . x <= r/R + s/t`` in the kernel's row form, from int
+    coefficients c over the positive scale C and int right-hand sides r over
+    R, with the slack read as the exact s/t (a float at its binary value):
+    numerators ``c * R * t`` and tails ``(r * C * t + s * C * R, C * R * t)``.
+    The same rows serve as equalities when the slack is 0."""
+    s, t = Fraction(slack).as_integer_ratio()
+    coef, unit, lift, den = R * t, C * t, s * C * R, C * R * t
+    return [[v * coef for v in c] for c in coeffs], [(r * unit + lift, den) for r in rhs]
 
 
 class LpResult(NamedTuple):

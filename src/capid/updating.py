@@ -56,10 +56,6 @@ class OddsGrid(NamedTuple):
         return cls(ground, prior, shifted)
 
     @property
-    def prior_mask(self) -> int:
-        return self.ground.singleton(self.prior)
-
-    @property
     def null_signal_index(self) -> int:
         return self.shifted.index(self.prior - self.prior)
 

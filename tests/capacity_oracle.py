@@ -4,8 +4,9 @@
 Each function follows its textbook definition with no shortcut: convexity
 over every pair of subsets, monotonicity over every subset and label, Moebius
 masses by inclusion-exclusion over every subset of every subset, core
-vertices as the marginal vectors of every ordering (float duplicates found
-by comparing each vector with every kept one), the experiment model's
+vertices as the marginal vectors of every ordering (duplicates found by
+comparing each vector with every kept one, within FLOAT_TOL when either
+holds a double), the experiment model's
 kappa floor and pure-noise test by walking those vertices, lower envelopes by
 a minimum over the measures at every subset, and the specification
 capacities by their formulas at every subset, with the reference vectors
@@ -20,13 +21,24 @@ Away from the 1e-9 edge their verdicts are the exact ones.
 from fractions import Fraction
 from itertools import permutations
 
-from capid.capacity import Capacity, Measure, _moebius, carrier_masks, is_convex, submasks
+from capid.capacity import Capacity, Measure, _moebius, carrier_masks, is_convex
 from capid.errors import NotConvexError, ValidationError
 from capid.info_specs import (
     Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
 )
-from capid.numeric import FLOAT_TOL, Num, as_fraction
+from capid.numeric import FLOAT_TOL, ZERO, Num
 from oracle import eq, ge
+
+
+def submasks(mask):
+    """All subsets of ``mask`` in decreasing order, from mask itself to 0,
+    one step of ``(sub - 1) & mask`` at a time."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def brute_force_convex(nu):
@@ -107,25 +119,17 @@ def literal_core_vertices(nu):
 
 
 def quadratic_dedupe_measures(measures):
-    """The measures in order, without those equal to one kept before: exactly
-    in exact mode, within FLOAT_TOL in every weight otherwise, where each new
-    vector is compared with every kept one."""
-    exact = {}
-    fuzzy = []
+    """The measures in order, without those equal to one kept before, where
+    each new vector is compared with every kept one: exactly when neither
+    holds a double, within FLOAT_TOL in every weight when either does."""
     out = []
     for m in measures:
-        if m.is_exact:
-            key = tuple(as_fraction(w) for w in m.weights)
-            if key not in exact:
-                exact[key] = m
-                out.append(m)
-        else:
-            if not any(
-                all(eq(a, b, FLOAT_TOL) for a, b in zip(m.weights, kept.weights))
-                for kept in fuzzy
-            ):
-                fuzzy.append(m)
-                out.append(m)
+        if not any(
+            all(eq(a, b, ZERO if m.is_exact and kept.is_exact else FLOAT_TOL)
+                for a, b in zip(m.weights, kept.weights))
+            for kept in out
+        ):
+            out.append(m)
     return out
 
 

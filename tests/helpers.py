@@ -191,6 +191,11 @@ def apply_update_rule(kappa: Num, experiment: Measure, grid: OddsGrid) -> Measur
     return Measure(grid.ground, tuple(weights))
 
 
+def prior_mask(grid: OddsGrid) -> int:
+    """The mask of the grid's prior point on its odds labels."""
+    return grid.ground.singleton(grid.prior)
+
+
 def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capacity:
     """Capacity whose core is the set of kappa-updated posterior distributions.
 
@@ -200,9 +205,9 @@ def biased_capacity(kappa: Num, model: ExperimentModel, grid: OddsGrid) -> Capac
     """
     if not (model.above_floor(kappa) and kappa <= 1):
         raise ValidationError(f"kappa {kappa} outside the admissible range")
-    prior_mask = grid.prior_mask
+    prior = prior_mask(grid)
     values = tuple(
-        (1 - kappa) * model.nu.values[mask] + (kappa if mask & prior_mask else 0)
+        (1 - kappa) * model.nu.values[mask] + (kappa if mask & prior else 0)
         for mask in grid.ground.masks()
     )
     return Capacity(grid.ground, values)

@@ -40,7 +40,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Optional, Sequence
 
-from capid.capacity import Capacity, GroundSet, Measure, mass_table, submasks
+from capid.capacity import Capacity, GroundSet, Measure, mass_table
 from capid.identification import (
     MAX_REPORTED_VIOLATIONS, DecisionRule, IdentificationProblem, MenuCollection, Verdict,
 )
@@ -220,6 +220,9 @@ def _decomposition_rows(
     each row as (coefficients, right-hand side); [] when a label outside
     every active carrier has mass.  Float mode tries a band of half the
     tolerance and then one of the full tolerance around the mix-back rows."""
+    # imported here: capacity_oracle imports this module's eq and ge
+    from capacity_oracle import submasks
+
     n = p.ground.size
     exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
     slack = F(0) if exact else F(FLOAT_TOL)
@@ -303,18 +306,21 @@ def kappa_interval_scan(
     """The admissible average biases, one subset at a time on the values:
     ``lam(K) >= (1-kappa) nu(K) + kappa [prior in K]`` is a half-line in kappa
     whose bound is the quotient of two differences, rounded in float mode."""
+    # imported here: helpers imports this module's eq, ge and tol_for
+    from helpers import prior_mask
+
     krange = KappaRange.for_model(model) if krange is None else KappaRange.for_model(
         model, krange.lo, krange.hi
     )
     tol = tol_for(lam.weights, model.nu.values)
-    prior_mask = grid.prior_mask
+    prior = prior_mask(grid)
     lo: Num = krange.lo
     hi: Num = krange.hi
     empty = False
     under: list[int] = []
     over: list[int] = []
     for mask, (base, lam_k) in enumerate(zip(model.nu.values, mass_table(lam.weights))):
-        in_prior = 1 if mask & prior_mask else 0
+        in_prior = 1 if mask & prior else 0
         if lam_k < base - tol:
             (over if in_prior else under).append(mask)
         coeff = in_prior - base

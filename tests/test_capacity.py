@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_oracle import brute_force_convex, literal_from_measure, lower_probability
+from capacity_oracle import brute_force_convex, literal_from_measure, lower_probability, submasks
 from capid import (
     Capacity,
     GroundSet,
@@ -25,7 +25,6 @@ from capid import (
     is_belief_function,
     is_convex,
 )
-from capid.capacity import submasks
 from helpers import (
     capacity_from_mobius,
     core_contains,

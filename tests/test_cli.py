@@ -738,6 +738,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "--input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_negative_fraction_kappa_as_its_own_argument(self, tmp_path, mode):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        args = ["identify-kappa", "--input", str(AT_FLOOR), "--mode", mode]
+        assert main([*args, "--kappa", "-1/5", "--output", str(spaced)]) == 0
+        assert main([*args, "--kappa=-1/5", "--output", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_every_command_prints_the_one_help(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

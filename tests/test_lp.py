@@ -1,14 +1,31 @@
 """Exact simplex and vertex-enumeration kernel tests."""
 
+import random
 from fractions import Fraction as F
 
-from capid.lp import feasible_point, simplex_polytope_vertices, solve_lp
-from lp_oracle import int_rows, kernel_rows
+from capid.lp import feasible_point, scaled_rows, simplex_polytope_vertices, solve_lp
+from lp_oracle import fraction_rows, int_rows, kernel_rows
 
 
 def solve(c, a_ub, b_ub, a_eq, b_eq):
     """``solve_lp`` on rows of Fractions, through the kernel's row converter."""
     return solve_lp(c, *int_rows(a_ub, b_ub), *int_rows(a_eq, b_eq))
+
+
+class TestScaledRows:
+    def test_rows_are_the_values_over_c_r_t(self):
+        # c/C . x <= r/R + s/t, with a float slack at its binary value
+        rng = random.Random(2031)
+        for _ in range(200):
+            C, R = rng.randint(1, 60), rng.randint(1, 60)
+            coeffs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(rng.randint(0, 4))]
+            rhs = [rng.randint(-30, 30) for _ in coeffs]
+            slack = rng.choice((0, 1e-9, F(1, 7), F(1e-9) / 2))
+            a, b = scaled_rows(coeffs, C, rhs, R, slack)
+            assert fraction_rows(a, b) == [
+                (tuple(F(v, C) for v in c), F(r, R) + F(slack)) for c, r in zip(coeffs, rhs)
+            ]
+            assert all(den == C * R * F(slack).denominator for _, den in b)
 
 
 class TestSolveLp:

@@ -30,7 +30,7 @@ from capid.identification import (
 )
 from capid.info_specs import build_capacity
 from capid.updating import KappaRange, check_average_bias, rationalizing_kappa_interval
-from helpers import biased_capacity, core_contains
+from helpers import biased_capacity, core_contains, prior_mask
 from lp_oracle import fraction_rows, kernel_rows
 from oracle import tol_for
 
@@ -126,7 +126,7 @@ def test_average_bias_verdicts_match_the_per_subset_code():
 def _rounded_bounds(lam, model, grid):
     """Each row's bound (lam(K) - nu(K)) / ([prior in K] - nu(K)), on the
     floats' exact values and lam's float subset sums, rounded once."""
-    prior = grid.prior_mask
+    prior = prior_mask(grid)
     bounds = set()
     for mask, (lam_k, nu_k) in enumerate(zip(mass_table(lam.weights), model.nu.values)):
         coeff = (1 if mask & prior else 0) - F(nu_k)

@@ -12,9 +12,9 @@ import random
 from collections import Counter
 
 import gen
-from capacity_oracle import literal_build_capacity
+from capacity_oracle import literal_build_capacity, submasks
 from capid import GroundSet, Measure
-from capid.capacity import _spread_index, carrier_masks, submasks
+from capid.capacity import _spread_index, carrier_masks
 from capid.info_specs import (
     Contamination,
     IntervalBelief,
