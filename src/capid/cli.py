@@ -2,9 +2,9 @@
 
 Every command reads one JSON document, runs one engine query, and writes one
 JSON report.  Verdicts are answers, not errors: "not rationalizable" exits 0.
-Exit codes: 0 success, 1 unreadable input, 2 schema or validation problem,
-3 size cap exceeded, 4 internal failure: any other error is a fault in capid,
-not in the input.
+Exit codes: 0 success, 1 unreadable input or unwritable report, 2 schema or
+validation problem, 3 size cap exceeded, 4 internal failure: any other error
+is a fault in capid, not in the input.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .identification import (
     _NoWitness,
     check_menu_homogeneous,
     check_rationalizes,
-    construct_menu_measures,
     exists_rationalizing,
     identified_vertices,
+    menu_measure,
     probability_bounds,
     witness_decomposition,
 )
@@ -155,8 +155,7 @@ def _cmd_witness(args, doc, exact):
         collection = bundle.collections.get(rid)
         if rule is None or collection is None:
             continue
-        pi = construct_menu_measures({rid: rho}, [rule], collection)[rid]
-        menu_measures[rid] = _menu_weights_json(collection, pi)
+        menu_measures[rid] = _menu_weights_json(collection, menu_measure(rho, rule, collection))
     if menu_measures:
         result["menu_measures"] = menu_measures
     return result
@@ -188,7 +187,7 @@ def _cmd_menu_homog(args, doc, exact):
 
 def _cmd_identify_kappa(args, doc, exact):
     grid, model, lam, krange = schemas.parse_updating(doc, exact)
-    solution = rationalizing_kappa_interval(lam, model, grid, krange)
+    solution = rationalizing_kappa_interval(lam, model, krange)
     def subsets(masks):
         return [
             [schemas.label_key(l) for l in grid.ground.labels_of(m)] for m in masks
@@ -209,7 +208,7 @@ def _cmd_identify_kappa(args, doc, exact):
         if model.above_floor(kappa):
             # a float kappa admitted within the tolerance prints as the floor
             kappa = max(kappa, model.kappa_floor)
-        verdict = check_average_bias(lam, model, grid, kappa)
+        verdict = check_average_bias(lam, model, kappa)
         result["at_kappa"] = {
             "kappa": format_number(kappa),
             "verdict": schemas.verdict_json(verdict, grid.ground),
@@ -238,7 +237,7 @@ def _cmd_simulate(args, doc, exact):
     ground, entries, q, seed = schemas.parse_simulation(doc, exact)
     if args.seed is not None:
         seed = args.seed
-    result = synth_population([rid for rid, _, _ in entries], [s for _, s, _ in entries], q, seed)
+    result = synth_population([(rid, spec) for rid, spec, _ in entries], q, seed)
     rules_out = []
     for rid, spec, entry in entries:
         rule_doc: dict[str, Any] = {"id": rid}
@@ -279,41 +278,26 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _error_report(command: str, mode: str, digest: Optional[str], exc: Exception) -> str:
     error = {"type": type(exc).__name__, "message": str(exc)}
     return schemas.dump_report(schemas.report(command, mode, digest, error=error))
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes "-1/5" for an option, so "--kappa -1/5" goes as "--kappa=-1/5"
-    for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--kappa" and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = ["--kappa=" + argv[i + 1]]
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> tuple[int, str]:
+    """The exit code and the report text of one command."""
     exact = args.mode == "exact"
     try:
         with open(args.input, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        _write(_error_report(args.command, args.mode, None, exc), args.output)
-        return 1
+        return 1, _error_report(args.command, args.mode, None, exc)
     digest = schemas.input_digest(raw)
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, an int literal over Python's digit limit, or
         # nesting deeper than the recursion limit
-        _write(_error_report(args.command, args.mode, digest, exc), args.output)
-        return 2
+        return 2, _error_report(args.command, args.mode, digest, exc)
     try:
         result = _HANDLERS[args.command](args, doc, exact)
     except Exception as exc:
@@ -323,14 +307,32 @@ def main(argv: Optional[list[str]] = None) -> int:
             import traceback  # only on this path: start-up does not pay for it
 
             traceback.print_exc()
-        _write(_error_report(args.command, args.mode, digest, exc), args.output)
-        return code
+        return code, _error_report(args.command, args.mode, digest, exc)
     # the simulate report is itself a problem document consumable by the
     # identification commands; its report fields sit alongside
     fields = result if args.command == "simulate" else {"result": result}
-    report = schemas.report(args.command, args.mode, digest, **fields)
-    _write(schemas.dump_report(report), args.output)
-    return 0
+    return 0, schemas.dump_report(schemas.report(args.command, args.mode, digest, **fields))
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1/5" for an option, so "--kappa -1/5", or an
+    # abbreviation such as "--kap -1/5", goes as "--kappa=-1/5"
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) >= 3 and "--kappa".startswith(argv[i]) and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
+    code, text = _run(args)
+    if args.output is None or args.output == "-":
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"capid: cannot write the report: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

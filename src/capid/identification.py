@@ -11,8 +11,7 @@ is linear programming or exact vertex enumeration:
 * ``probability_bounds`` computes sharp per-rule probability intervals;
 * ``identified_vertices`` enumerates the polytope's extreme points exactly;
 * ``witness_decomposition`` recovers per-rule choice distributions certifying
-  an admissible Q, and ``construct_menu_measures`` lifts them to menu
-  distributions;
+  an admissible Q, and ``menu_measure`` lifts one to a menu distribution;
 * ``check_menu_homogeneous`` additionally forces a single menu distribution
   shared by all rules.
 
@@ -33,7 +32,7 @@ import math
 from fractions import Fraction
 from itertools import count
 from operator import mul
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .capacity import (
@@ -106,21 +105,14 @@ def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
 
 
 class ProblemRule:
-    """One rule as the identification engine sees it: id, carrier, capacity."""
+    """One rule as the identification engine sees it: its id, the analyst's
+    specification of its credal set, and the capacity built from it.  The
+    specification already confines that capacity to its carrier."""
 
-    def __init__(self, rule_id: str, carrier: int, capacity: Capacity) -> None:
+    def __init__(self, rule_id: str, spec: InfoSpec) -> None:
         self.rule_id = rule_id
-        self.carrier = carrier
-        self.capacity = capacity
-        cap_carrier = self.capacity.carrier
-        if cap_carrier is not None and cap_carrier & ~self.carrier:
-            raise ValidationError(
-                f"rule {self.rule_id!r}: capacity carrier exceeds the declared carrier"
-            )
-        if cap_carrier is None and not self.capacity.carried_by(self.carrier):
-            raise ValidationError(
-                f"rule {self.rule_id!r}: capacity is not carried by the declared carrier"
-            )
+        self.spec = spec
+        self.capacity = build_capacity(spec)
 
 
 class IdentificationProblem:
@@ -140,6 +132,8 @@ class IdentificationProblem:
                 raise ValidationError("rule capacity lives on a different ground set")
         if self.data.ground != self.ground:
             raise ValidationError("data lives on a different ground set")
+        # every rule's capacity is convex once built; the scan stays as the
+        # convexity layer that perfbench/tracing.py times on these workloads
         for rule in self.rules:
             if not is_convex(rule.capacity):
                 raise ValidationError(
@@ -349,38 +343,27 @@ def witness_decomposition(
     return {problem.rules[i].rule_id: part for i, part in zip(positive, parts)}
 
 
-def construct_menu_measures(
-    rho_by_rule: Mapping[str, Measure],
-    rules: Sequence[DecisionRule],
-    collection: MenuCollection,
-) -> dict[str, Measure]:
-    """Menu distributions generating the given choice distributions.
+def menu_measure(rho: Measure, rule: DecisionRule, collection: MenuCollection) -> Measure:
+    """A menu distribution that generates the rule's choice distribution rho.
 
     For every alternative with positive weight the first menu (in collection
     order) at which the rule picks it receives that weight; everything else
     gets zero.  Deterministic by construction and exact by bookkeeping.
     """
-    menu_ground = collection.menu_ground()
-    out: dict[str, Measure] = {}
-    for rule in rules:
-        if rule.rule_id not in rho_by_rule:
+    rule.validate_on(collection)
+    support = rho.support()
+    weights: list[Num] = [Fraction(0) if rho.is_exact else 0.0] * len(collection.menus)
+    for i, (label, w) in enumerate(zip(rho.ground.labels, rho.weights)):
+        if not support >> i & 1:
             continue
-        rule.validate_on(collection)
-        rho = rho_by_rule[rule.rule_id]
-        support = rho.support()
-        weights: list[Num] = [Fraction(0) if rho.is_exact else 0.0] * len(collection.menus)
-        for i, (label, w) in enumerate(zip(rho.ground.labels, rho.weights)):
-            if not support >> i & 1:
-                continue
-            menu_idx = next((j for j, c in enumerate(rule.choices) if c == label), None)
-            if menu_idx is None:
-                raise ValidationError(
-                    f"rule {rule.rule_id!r} never chooses {label!r}: choice "
-                    "distribution puts mass outside the rule's range"
-                )
-            weights[menu_idx] = weights[menu_idx] + w
-        out[rule.rule_id] = Measure._derived(menu_ground, tuple(weights))
-    return out
+        menu_idx = next((j for j, c in enumerate(rule.choices) if c == label), None)
+        if menu_idx is None:
+            raise ValidationError(
+                f"rule {rule.rule_id!r} never chooses {label!r}: choice "
+                "distribution puts mass outside the rule's range"
+            )
+        weights[menu_idx] = weights[menu_idx] + w
+    return Measure._derived(collection.menu_ground(), tuple(weights))
 
 
 def check_menu_homogeneous(
@@ -439,8 +422,4 @@ def problem_from_info_specs(
     lam: Measure,
 ) -> IdentificationProblem:
     """Assemble a problem from per-rule information specifications."""
-    rules = tuple(
-        ProblemRule(rule_id, spec.carrier, build_capacity(spec))
-        for rule_id, spec in specs
-    )
-    return IdentificationProblem(ground, rules, lam)
+    return IdentificationProblem(ground, tuple(ProblemRule(*pair) for pair in specs), lam)

@@ -421,7 +421,7 @@ def parse_audit(obj, exact: bool) -> Capacity:
         return parse_capacity(obj["capacity"], exact)
     ground = parse_ground(obj.get("labels"))
     carrier = ground.full_mask
-    if obj.get("carrier"):
+    if obj.get("carrier") is not None:
         carrier = _label_mask(obj["carrier"], ground, "carrier")
     return build_capacity(parse_info_spec(obj.get("info_spec"), ground, carrier, exact))
 

@@ -26,10 +26,7 @@ class SynthResult(NamedTuple):
 
 
 def synth_population(
-    rule_ids: Sequence[str],
-    specs: Sequence[InfoSpec],
-    q: Measure,
-    seed: int,
+    specs: Sequence[tuple[str, InfoSpec]], q: Measure, seed: int
 ) -> SynthResult:
     """Draw one admissible choice distribution per rule and mix them.
 
@@ -38,15 +35,13 @@ def synth_population(
     rationalized by ``q`` by construction.  The metadata records the PRNG
     so runs are reproducible.
     """
-    if len(rule_ids) != len(specs):
-        raise ValidationError("rule ids and specifications must align")
-    if set(q.ground.labels) != set(rule_ids):
+    if set(q.ground.labels) != {rule_id for rule_id, _ in specs}:
         raise ValidationError("Q is not a measure over the given rules")
     rng = random.Random(seed)
-    ground = specs[0].ground
+    ground = specs[0][1].ground
     rho_by_rule: dict[str, Measure] = {}
     lam_weights = [Fraction(0)] * ground.size
-    for rule_id, spec in zip(rule_ids, specs):
+    for rule_id, spec in specs:
         if spec.ground != ground:
             raise ValidationError("specifications live on different ground sets")
         vertices = core_vertices(build_capacity(spec))

@@ -147,17 +147,15 @@ class KappaRange:
         return cls(lo, max(hi, floor))
 
 
-def check_average_bias(
-    lam: Measure, model: ExperimentModel, grid: OddsGrid, kappa_av: Num
-) -> Verdict:
+def check_average_bias(lam: Measure, model: ExperimentModel, kappa_av: Num) -> Verdict:
     """Dominance verdict at a single average bias: the mixture of Bayesian
     updating and full inertia at weights (1 - kappa, kappa).
 
     Rationalizability by any rule mix depends only on the mean kappa, so this
     one check settles every mix with that mean.
     """
-    if lam.ground != grid.ground:
-        raise ValidationError("data must live on the odds grid")
+    if lam.ground != model.grid.ground:
+        raise ValidationError("data must live on the model's odds grid")
     if not (model.above_floor(kappa_av) and kappa_av <= 1):
         raise ValidationError(f"kappa {kappa_av} outside the admissible range")
     return dominance_verdict(lam, [model.nu, model.inertia], [1 - kappa_av, kappa_av])
@@ -182,10 +180,7 @@ class KappaSolution(NamedTuple):
 
 
 def rationalizing_kappa_interval(
-    lam: Measure,
-    model: ExperimentModel,
-    grid: OddsGrid,
-    krange: Optional[KappaRange] = None,
+    lam: Measure, model: ExperimentModel, krange: Optional[KappaRange] = None
 ) -> KappaSolution:
     """Intersect the per-subset linear inequalities in the average bias.
 
@@ -195,8 +190,8 @@ def rationalizing_kappa_interval(
     lam(K) as Lam over D, the row is ``kappa (I - N) D <= Lam L - N D``, all
     over L D.  An endpoint that no row tightens is the range's own object.
     """
-    if lam.ground != grid.ground:
-        raise ValidationError("data must live on the odds grid")
+    if lam.ground != model.grid.ground:
+        raise ValidationError("data must live on the model's odds grid")
     krange = KappaRange.for_model(model) if krange is None else KappaRange.for_model(
         model, krange.lo, krange.hi
     )

@@ -155,10 +155,10 @@ def random_problem_doc(rng: random.Random, floats: bool, labels=LABELS, lo=2, hi
         spec = random_spec(rng, ground, rng.choice(FAMILIES), carrier)
         entry["info_spec"] = {k: v for k, v in info_spec_json(spec).items() if k != "carrier"}
         rules.append(entry)
-        specs.append(spec)
+        specs.append((rid, spec))
     q = random_q(rng, ids)
     if rng.random() < 0.5:
-        lam = synth_population(ids, specs, q, rng.randrange(1 << 30)).lam
+        lam = synth_population(specs, q, rng.randrange(1 << 30)).lam
     else:
         lam = random_measure(rng, ground, random_carrier(rng, ground, ground.size))
     doc = {

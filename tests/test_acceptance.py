@@ -26,7 +26,7 @@ from capid.identification import (
     problem_from_info_specs,
     witness_decomposition,
 )
-from capid.info_specs import Ignorance, build_capacity, spec_contains
+from capid.info_specs import ExplicitCapacity, Ignorance, build_capacity, spec_contains
 from capid.simulate import synth_population
 from capid.updating import (
     ExperimentModel,
@@ -148,7 +148,7 @@ def _random_instance(rng):
     q = gen.random_q(rng, [rid for rid, _ in specs])
     if rng.random() < 0.55:
         seed = rng.randrange(1 << 30)
-        lam = synth_population([rid for rid, _ in specs], [s for _, s in specs], q, seed).lam
+        lam = synth_population(specs, q, seed).lam
         constructed = True
     else:
         union = 0
@@ -300,7 +300,7 @@ def test_acceptance_6_updating_reduction():
     e_star = Measure(grid.shifted, (F(1, 2), F(0), F(1, 2)))
     model = ExperimentModel(grid, literal_from_measure(e_star, grid.shifted.full_mask))
     lam = Measure(grid.ground, (F(1, 4), F(1, 2), F(1, 4)))
-    solution = rationalizing_kappa_interval(lam, model, grid)
+    solution = rationalizing_kappa_interval(lam, model)
     assert (solution.lo, solution.hi) == (F(1, 2), F(1, 2))
     assert solution.diagnosis == "underreaction"
 
@@ -328,7 +328,8 @@ def test_acceptance_6_updating_reduction():
             psi = sorted(set(psi))
         caps = {k: biased_capacity(k, m, g) for k in psi}
         rules = tuple(
-            ProblemRule(str(k), g.ground.full_mask, caps[k]) for k in psi
+            ProblemRule(str(k), ExplicitCapacity(g.ground, g.ground.full_mask, caps[k]))
+            for k in psi
         )
         rule_ground = GroundSet.of([str(k) for k in psi])
         lam_draws = [
@@ -342,7 +343,7 @@ def test_acceptance_6_updating_reduction():
                 q = Measure(rule_ground, combo)
                 kappa_av = sum(w * k for w, k in zip(combo, psi))
                 via_rules = check_rationalizes(problem, q).rationalizes
-                direct = check_average_bias(lam_i, m, g, kappa_av).rationalizes
+                direct = check_average_bias(lam_i, m, kappa_av).rationalizes
                 compared += 1
                 if via_rules != direct:
                     disagreements += 1
@@ -397,9 +398,7 @@ def test_acceptance_7_disjoint_carriers():
             family = rng.choice(gen.FAMILIES)
             specs.append((f"r{j}", gen.random_spec(rng, ground, family, carrier)))
         q = gen.random_q(rng, [rid for rid, _ in specs])
-        lam = synth_population(
-            [rid for rid, _ in specs], [s for _, s in specs], q, rng.randrange(1 << 30)
-        ).lam
+        lam = synth_population(specs, q, rng.randrange(1 << 30)).lam
         problem = problem_from_info_specs(ground, specs, lam)
         verts = identified_vertices(problem)
         assert len(verts) == 1

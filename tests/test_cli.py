@@ -416,6 +416,20 @@ class TestCapacityAudit:
             assert not [v for v in values[-1].values() if isinstance(v, str)], values[-1]
         assert values[1] == {"": 0.0, "a": 0.0, "b": 0.0, "a,b": 1.0}
 
+    @pytest.mark.parametrize("carrier,code", [([], 2), (None, 0), (["a"], 0)])
+    def test_empty_carrier_is_refused(self, capsys, tmp_path, carrier, code):
+        # an empty carrier is an error, as in a problem document; a missing
+        # or null one means every label
+        path = tmp_path / "audit.json"
+        doc = {"schema": "capid/1", "labels": ["a", "b"], "info_spec": {"tag": "ignorance"}}
+        path.write_text(json.dumps({**doc, "carrier": carrier}))
+        got, report = run(capsys, "capacity-audit", "--input", str(path))
+        assert got == code
+        if code:
+            assert report["error"]["message"] == "carrier must be nonempty"
+        else:
+            assert report["result"]["carrier"] == (carrier or ["a", "b"])
+
     @staticmethod
     def _audit_doc(tmp_path, nu):
         path = tmp_path / "audit.json"
@@ -740,11 +754,15 @@ class TestParser:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_negative_fraction_kappa_as_its_own_argument(self, tmp_path, mode):
+        # argparse accepts any unambiguous prefix of --kappa, spaced or joined
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
         args = ["identify-kappa", "--input", str(AT_FLOOR), "--mode", mode]
-        assert main([*args, "--kappa", "-1/5", "--output", str(spaced)]) == 0
         assert main([*args, "--kappa=-1/5", "--output", str(joined)]) == 0
-        assert spaced.read_bytes() == joined.read_bytes()
+        for option in ("--k", "--ka", "--kap", "--kapp", "--kappa"):
+            assert main([*args, option, "-1/5", "--output", str(spaced)]) == 0, option
+            assert spaced.read_bytes() == joined.read_bytes(), option
+            assert main([*args, option + "=-1/5", "--output", str(spaced)]) == 0, option
+            assert spaced.read_bytes() == joined.read_bytes(), option
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_every_command_prints_the_one_help(self, capsys, command):
@@ -773,6 +791,16 @@ class TestDeterminismAndErrors:
         code, report = run(capsys, "check", "--input", "/nonexistent.json")
         assert code == 1
         assert report["error"]["type"] in ("FileNotFoundError", "OSError")
+
+    def test_unwritable_output_exits_1_with_one_line(self, capsys, tmp_path):
+        # a directory is no report path: one line on stderr, no traceback
+        code = main(["bounds", "--input", NESTED, "--output", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cannot write the report" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_invalid_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -30,14 +30,14 @@ from capid.identification import (
     check_menu_homogeneous,
     check_rationalizes,
     choice_range,
-    construct_menu_measures,
     exists_rationalizing,
     identified_vertices,
+    menu_measure,
     probability_bounds,
     problem_from_info_specs,
     witness_decomposition,
 )
-from capid.info_specs import Contamination, Ignorance, PointMass, build_capacity
+from capid.info_specs import Contamination, ExplicitCapacity, Ignorance, PointMass
 from helpers import (
     PreferenceOrder,
     core_contains,
@@ -304,28 +304,28 @@ class TestConstructMenuMeasures:
 
     def test_point_distribution(self):
         rule = DecisionRule("d", ("a", "a", "b", "a"))
-        rho = {"d": Measure(ABC, (F(1), F(0), F(0)), ABC.mask_of("ab"))}
-        pi = construct_menu_measures(rho, [rule], self.MENUS)["d"]
+        rho = Measure(ABC, (F(1), F(0), F(0)), ABC.mask_of("ab"))
+        pi = menu_measure(rho, rule, self.MENUS)
         assert pi.weights == (F(1), F(0), F(0), F(0))
 
     def test_witness_puts_half_on_first_b_menu(self):
         rule = DecisionRule("d", ("a", "a", "b", "a"))
-        rho = {"d": Measure(ABC, (F(1, 2), F(1, 2), F(0)), ABC.mask_of("ab"))}
-        pi = construct_menu_measures(rho, [rule], self.MENUS)["d"]
+        rho = Measure(ABC, (F(1, 2), F(1, 2), F(0)), ABC.mask_of("ab"))
+        pi = menu_measure(rho, rule, self.MENUS)
         assert pi.weights == (F(1, 2), F(0), F(1, 2), F(0))
 
     def test_round_trip(self):
         rule = DecisionRule("d", ("a", "a", "b", "a"))
         rho = Measure(ABC, (F(1, 4), F(3, 4), F(0)), ABC.mask_of("ab"))
-        pi = construct_menu_measures({"d": rho}, [rule], self.MENUS)["d"]
+        pi = menu_measure(rho, rule, self.MENUS)
         back = induce_choice_distribution(pi, rule, self.MENUS)
         assert back.weights == rho.weights
 
     def test_rejects_mass_outside_range(self):
         rule = DecisionRule("d", ("a", "a", "a", "a"))
-        rho = {"d": Measure(ABC, (F(1, 2), F(1, 2), F(0)))}
+        rho = Measure(ABC, (F(1, 2), F(1, 2), F(0)))
         with pytest.raises(ValidationError):
-            construct_menu_measures(rho, [rule], self.MENUS)
+            menu_measure(rho, rule, self.MENUS)
 
 
 class TestDisjointCarriers:
@@ -442,7 +442,7 @@ class TestVerdict:
 class TestCompleteIgnoranceReduction:
     def test_dominance_specializes_to_carrier_counting(self):
         problem, _ = ignorance_problem(NESTED_MENUS, ["1/2", "1/4", "1/4"])
-        carriers = [r.carrier for r in problem.rules]
+        carriers = [r.spec.carrier for r in problem.rules]
         for q_weights in [
             ("1/4", 0, "1/4", "1/4", 0, "1/4"),
             ("1/6",) * 6,
@@ -474,18 +474,18 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             IdentificationProblem(
                 ABC,
-                (ProblemRule("r", ABC.full_mask, bad),),
+                (ProblemRule("r", ExplicitCapacity(ABC, ABC.full_mask, bad)),),
                 uniform(ABC),
             )
 
     def test_rejects_duplicate_ids(self):
-        nu = build_capacity(Ignorance(ABC, ABC.full_mask))
+        spec = Ignorance(ABC, ABC.full_mask)
         with pytest.raises(ValidationError):
             IdentificationProblem(
                 ABC,
                 (
-                    ProblemRule("r", ABC.full_mask, nu),
-                    ProblemRule("r", ABC.full_mask, nu),
+                    ProblemRule("r", spec),
+                    ProblemRule("r", spec),
                 ),
                 uniform(ABC),
             )

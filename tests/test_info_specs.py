@@ -136,12 +136,14 @@ class TestBuildCapacity:
             build_capacity(ExplicitCapacity(AB, AB.full_mask, bad))
 
     def test_non_convex_explicit_is_rejected_by_the_problem_too(self):
-        # the failed convexity test is kept on the capacity and still rejects
+        # a rule builds its capacity from the specification, so the same
+        # convexity test rejects it before any problem is assembled
         bad = Capacity(AB, (F(0), F(7, 10), F(7, 10), F(1)))
+        spec = ExplicitCapacity(AB, AB.full_mask, bad)
         with pytest.raises(NotConvexError, match="requires a convex capacity"):
-            build_capacity(ExplicitCapacity(AB, AB.full_mask, bad))
-        with pytest.raises(ValidationError, match="capacity must be convex"):
-            IdentificationProblem(AB, (ProblemRule("r", AB.full_mask, bad),), uniform(AB))
+            build_capacity(spec)
+        with pytest.raises(NotConvexError, match="requires a convex capacity"):
+            IdentificationProblem(AB, (ProblemRule("r", spec),), uniform(AB))
 
     def test_point_mass_is_measure_capacity(self):
         rho = Measure(ABC, (F(1, 2), F(1, 2), F(0)), ABC.mask_of("ab"))

@@ -27,6 +27,7 @@ from capid.identification import (
     _lp_rows,
     check_rationalizes,
 )
+from capid.info_specs import ExplicitCapacity
 from capid.numeric import FLOAT_TOL
 from helpers import capacity_from_mobius
 from lp_oracle import fraction_rows
@@ -97,7 +98,8 @@ def _problem(rng):
     rules = []
     for d in range(m):
         carrier = rng.randint(1, ground.full_mask)
-        rules.append(ProblemRule(f"r{d}", carrier, _belief(rng, ground, carrier, primes[d])))
+        nu = _belief(rng, ground, carrier, primes[d])
+        rules.append(ProblemRule(f"r{d}", ExplicitCapacity(ground, carrier, nu)))
     q = _measure(rng, GroundSet.of(r.rule_id for r in rules), primes[m])
     if rng.random() < 0.5:
         lam = _measure(rng, ground, primes[m + 1])
@@ -148,9 +150,9 @@ def _rounded(problem, q):
     """The problem and Q with every value rounded to a float."""
     ground = problem.ground
     rules = tuple(
-        ProblemRule(r.rule_id, r.carrier, Capacity(
+        ProblemRule(r.rule_id, ExplicitCapacity(ground, r.spec.carrier, Capacity(
             ground, tuple(map(float, r.capacity.values)), r.capacity.carrier
-        ))
+        )))
         for r in problem.rules
     )
     lam = Measure(ground, tuple(map(float, problem.data.weights)))
@@ -192,8 +194,8 @@ def test_float_verdict_one_ulp_around_the_edge():
     value of 1e-9; the nearest float itself lies just below 0.3 - 1e-9."""
     ground = GroundSet.of("xy")
     rules = (
-        ProblemRule("r0", 1, Capacity(ground, (0.0, 1.0, 0.0, 1.0), 1)),
-        ProblemRule("r1", 2, Capacity(ground, (0.0, 0.0, 1.0, 1.0), 2)),
+        ProblemRule("r0", ExplicitCapacity(ground, 1, Capacity(ground, (0.0, 1.0, 0.0, 1.0), 1))),
+        ProblemRule("r1", ExplicitCapacity(ground, 2, Capacity(ground, (0.0, 0.0, 1.0, 1.0), 2))),
     )
     q = Measure(GroundSet.of(("r0", "r1")), (0.3, 0.7))
     edge = float(F(0.3) - F(FLOAT_TOL))
@@ -265,7 +267,10 @@ def test_float_capacity_carried_within_the_tolerance_keeps_its_own_values():
     nums, scale = nu.int_view
     assert [F(v, scale) for v in nums] == [F(v) for v in nu.values]
     ignorance = Capacity(ground, (0.0,) * 7 + (1.0,))
-    rules = (ProblemRule("r0", 0b011, nu), ProblemRule("r1", 0b111, ignorance))
+    rules = (
+        ProblemRule("r0", ExplicitCapacity(ground, 0b011, nu)),
+        ProblemRule("r1", ExplicitCapacity(ground, 0b111, ignorance)),
+    )
     problem = IdentificationProblem(ground, rules, Measure(ground, (0.25, 0.5, 0.25)))
     exact, a_ub, b_ub = _lp_rows(problem)
     literal = oracle._constraint_rows(ground, problem.data, [nu, ignorance])

@@ -369,7 +369,7 @@ def test_identified_set_vertices_match_rank_filter_oracle():
         ids = [rid for rid, _ in specs]
         if case % 3:
             q = random_q(rng, ids)
-            lam = synth_population(ids, [s for _, s in specs], q, rng.randrange(1 << 30)).lam
+            lam = synth_population(specs, q, rng.randrange(1 << 30)).lam
         else:
             lam = random_measure(rng, ground)
         problem = problem_from_info_specs(ground, specs, lam)

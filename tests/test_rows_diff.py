@@ -68,7 +68,7 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
         sums = [lam.mass(mask) for mask in ground.masks()]
         assert _reprs(mass_table(lam.weights)) == _reprs(sums)
         for entry, rule in zip(doc["rules"], problem.rules):
-            spec = schemas.parse_info_spec(entry["info_spec"], ground, rule.carrier, exact)
+            spec = schemas.parse_info_spec(entry["info_spec"], ground, rule.spec.carrier, exact)
             families[spec.tag] = families.get(spec.tag, 0) + 1
             assert repr(build_capacity(spec)) == repr(literal_build_capacity(spec))
             tol = tol_for(rule.capacity.values, lam.weights)
@@ -113,7 +113,7 @@ def test_average_bias_verdicts_match_the_per_subset_code():
             for step in range(9):
                 share = F(step, 8) if exact else step / 8
                 kappa = min(krange.hi, krange.lo + (krange.hi - krange.lo) * share)
-                new = check_average_bias(lam, model, grid, kappa)
+                new = check_average_bias(lam, model, kappa)
                 nu_k = biased_capacity(kappa, model, grid)
                 old = oracle._dominance_verdict(grid.ground, lam, [nu_k], [F(1)])
                 assert repr(new) == repr(old)
@@ -149,7 +149,7 @@ def test_kappa_interval_matches_the_per_subset_scan():
         seen["kappa_range"] += "kappa_range" in doc
         for exact in (True, False):
             grid, model, lam, krange = schemas.parse_updating(doc, exact)
-            new = rationalizing_kappa_interval(lam, model, grid, krange)
+            new = rationalizing_kappa_interval(lam, model, krange)
             old = oracle.kappa_interval_scan(lam, model, grid, krange)
             seen["exact" if exact else "float"] += 1
             seen[new.diagnosis] = seen.get(new.diagnosis, 0) + 1

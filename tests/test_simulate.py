@@ -76,9 +76,7 @@ class TestSynthPopulation:
     def test_point_specs_reproduce_given_distribution(self):
         rho = Measure(ABC, (F(1, 3), F(2, 3), F(0)), ABC.mask_of("ab"))
         q = Measure(GroundSet.of(["only"]), (F(1),))
-        result = synth_population(
-            ["only"], [PointMass(ABC, ABC.mask_of("ab"), rho)], q, seed=7
-        )
+        result = synth_population([("only", PointMass(ABC, ABC.mask_of("ab"), rho))], q, seed=7)
         assert result.lam.weights == rho.weights
 
     def test_two_rule_mixture_with_known_split(self):
@@ -86,10 +84,9 @@ class TestSynthPopulation:
         rho2 = Measure(ABC, (F(0), F(0), F(1)), ABC.mask_of("c"))
         q = Measure(GroundSet.of(["one", "two"]), (F(2, 3), F(1, 3)))
         result = synth_population(
-            ["one", "two"],
             [
-                PointMass(ABC, ABC.mask_of("ab"), rho1),
-                PointMass(ABC, ABC.mask_of("c"), rho2),
+                ("one", PointMass(ABC, ABC.mask_of("ab"), rho1)),
+                ("two", PointMass(ABC, ABC.mask_of("c"), rho2)),
             ],
             q,
             seed=3,
@@ -104,16 +101,16 @@ class TestSynthPopulation:
         ]
         q = Measure(GroundSet.of(["ign", "con"]), (F(2, 5), F(3, 5)))
         for seed in range(12):
-            result = synth_population([s[0] for s in specs], [s[1] for s in specs], q, seed)
+            result = synth_population(specs, q, seed)
             problem = problem_from_info_specs(ABC, specs, result.lam)
             assert check_rationalizes(problem, q).rationalizes
 
     def test_seeded_determinism_and_metadata(self):
         specs = [("ign", Ignorance(ABC, ABC.full_mask))]
         q = Measure(GroundSet.of(["ign"]), (F(1),))
-        one = synth_population(["ign"], [s[1] for s in specs], q, seed=11)
-        two = synth_population(["ign"], [s[1] for s in specs], q, seed=11)
-        other = synth_population(["ign"], [s[1] for s in specs], q, seed=12)
+        one = synth_population(specs, q, seed=11)
+        two = synth_population(specs, q, seed=11)
+        other = synth_population(specs, q, seed=12)
         assert one.lam.weights == two.lam.weights
         assert one.metadata["prng"] and one.metadata["seed"] == 11
         assert other.lam.weights != one.lam.weights or True  # different seed may still collide

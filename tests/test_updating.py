@@ -13,6 +13,7 @@ import pytest
 
 from capid import Capacity, GroundSet, Measure, ValidationError, core_vertices
 from capid.identification import IdentificationProblem, ProblemRule, check_rationalizes
+from capid.info_specs import ExplicitCapacity
 from capid.updating import (
     ExperimentModel,
     KappaRange,
@@ -158,15 +159,15 @@ class TestCheckAverageBias:
         model = point_experiment_model()
         e_star = core_vertices(model.nu)[0]
         lam = apply_update_rule(F(1, 2), e_star, GRID)
-        assert check_average_bias(lam, model, GRID, F(1, 2)).rationalizes
+        assert check_average_bias(lam, model, F(1, 2)).rationalizes
 
     def test_half_prior_mass_needs_half_bias(self):
         model = point_experiment_model()
-        assert check_average_bias(self.LAM, model, GRID, F(1, 2)).rationalizes
+        assert check_average_bias(self.LAM, model, F(1, 2)).rationalizes
 
     def test_zero_bias_fails_with_named_subsets(self):
         model = point_experiment_model()
-        verdict = check_average_bias(self.LAM, model, GRID, F(0))
+        verdict = check_average_bias(self.LAM, model, F(0))
         assert not verdict.rationalizes
         masks = {m for m, _ in verdict.violated}
         minus_one = GRID.ground.mask_of([F(-1)])
@@ -178,7 +179,7 @@ class TestKappaInterval:
     def test_interval_is_exactly_one_half(self):
         model = point_experiment_model()
         lam = Measure(GRID.ground, (F(1, 4), F(1, 2), F(1, 4)))
-        sol = rationalizing_kappa_interval(lam, model, GRID)
+        sol = rationalizing_kappa_interval(lam, model)
         assert not sol.empty
         assert (sol.lo, sol.hi) == (F(1, 2), F(1, 2))
         assert sol.diagnosis == "underreaction"
@@ -189,13 +190,13 @@ class TestKappaInterval:
     def test_prior_point_data_forces_full_bias(self):
         model = point_experiment_model()
         lam = Measure.point(GRID.ground, F(0))
-        sol = rationalizing_kappa_interval(lam, model, GRID)
+        sol = rationalizing_kappa_interval(lam, model)
         assert (sol.lo, sol.hi) == (F(1), F(1))
 
     def test_bayes_feasible_when_data_is_posterior(self):
         model = point_experiment_model()
         lam = bayes_posterior(core_vertices(model.nu)[0], GRID)
-        sol = rationalizing_kappa_interval(lam, model, GRID)
+        sol = rationalizing_kappa_interval(lam, model)
         assert not sol.empty
         assert sol.diagnosis == "bayesian-feasible"
         assert sol.lo <= 0 <= sol.hi
@@ -208,22 +209,35 @@ class TestKappaInterval:
         lam = Measure(two.ground, (F(1, 4), F(3, 4)))
         # lam({0}) = 1/4 < 1/2 with prior inside; lam({1}) = 3/4 > 1/2: push the
         # other side instead
-        sol = rationalizing_kappa_interval(lam, model, two)
+        sol = rationalizing_kappa_interval(lam, model)
         assert not sol.empty  # one-sided deficit is still solvable
         lam_bad = Measure(two.ground, (F(1, 4), F(3, 4)))
         # shrink the admissible range to exclude the solution
         narrow = KappaRange(F(0), F(1, 10))
-        sol2 = rationalizing_kappa_interval(lam_bad, model, two, narrow)
+        sol2 = rationalizing_kappa_interval(lam_bad, model, narrow)
         assert sol2.empty and sol2.diagnosis == "impossible"
 
     def test_agrees_with_pointwise_checks(self):
         model = point_experiment_model()
         lam = Measure(GRID.ground, (F(1, 4), F(1, 2), F(1, 4)))
-        sol = rationalizing_kappa_interval(lam, model, GRID)
+        sol = rationalizing_kappa_interval(lam, model)
         for i in range(101):
             kappa = F(i, 100)
             inside = sol.lo <= kappa <= sol.hi
-            assert check_average_bias(lam, model, GRID, kappa).rationalizes == inside
+            assert check_average_bias(lam, model, kappa).rationalizes == inside
+
+
+class TestModelGrid:
+    def test_data_on_another_grid_is_rejected(self):
+        # both queries read the grid off the model, whose dominance rows
+        # cover 8 subsets where data on a 4-point grid has 16
+        four = OddsGrid.from_values((F(-1), F(0), F(1), F(2)), F(0))
+        lam = Measure(four.ground, (F(1, 4),) * 4)
+        model = point_experiment_model()
+        with pytest.raises(ValidationError, match="odds grid"):
+            rationalizing_kappa_interval(lam, model)
+        with pytest.raises(ValidationError, match="odds grid"):
+            check_average_bias(lam, model, F(1, 2))
 
 
 class TestAverageBias:
@@ -247,7 +261,8 @@ class TestReductionToRuleMixture:
         kappas = (F(0), F(1, 2), F(1))
         caps = {k: biased_capacity(k, model, GRID) for k in kappas}
         rules = tuple(
-            ProblemRule(str(k), GRID.ground.full_mask, caps[k]) for k in kappas
+            ProblemRule(str(k), ExplicitCapacity(GRID.ground, GRID.ground.full_mask, caps[k]))
+            for k in kappas
         )
         rule_ground = GroundSet.of([str(k) for k in kappas])
         lams = [
@@ -268,6 +283,6 @@ class TestReductionToRuleMixture:
             for weights in grid_qs:
                 q = Measure(rule_ground, weights)
                 mean = sum(w * k for w, k in zip(weights, kappas))
-                direct = check_average_bias(lam, model, GRID, mean).rationalizes
+                direct = check_average_bias(lam, model, mean).rationalizes
                 via_mixture = check_rationalizes(problem, q).rationalizes
                 assert direct == via_mixture, (lam.weights, weights)

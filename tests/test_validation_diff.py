@@ -56,7 +56,7 @@ def _documents(count, seed):
         measures = [problem.data, schemas.parse_q(q_doc, problem, exact)]
         beliefs = []
         for entry, rule in zip(doc["rules"], problem.rules):
-            spec = schemas.parse_info_spec(entry["info_spec"], ground, rule.carrier, exact)
+            spec = schemas.parse_info_spec(entry["info_spec"], ground, rule.spec.carrier, exact)
             if isinstance(spec, Contamination):
                 measures.append(spec.rho_hat)
             elif isinstance(spec, VariationNeighborhood):

@@ -130,9 +130,7 @@ class TestVertexEnumerationAgainstBasisOracle:
             q = gen.random_q(rng, [rid for rid, _ in specs])
             from capid.simulate import synth_population
 
-            lam = synth_population(
-                [rid for rid, _ in specs], [s for _, s in specs], q, rng.randrange(1 << 30)
-            ).lam
+            lam = synth_population(specs, q, rng.randrange(1 << 30)).lam
             problem = problem_from_info_specs(ground, specs, lam)
             fast = {v.weights for v in identified_vertices(problem)}
             _, a_ub, b_ub = _lp_rows(problem)
@@ -154,9 +152,7 @@ class TestBoundsMatchVertexExtrema:
             q = gen.random_q(rng, [rid for rid, _ in specs])
             from capid.simulate import synth_population
 
-            lam = synth_population(
-                [rid for rid, _ in specs], [s for _, s in specs], q, rng.randrange(1 << 30)
-            ).lam
+            lam = synth_population(specs, q, rng.randrange(1 << 30)).lam
             problem = problem_from_info_specs(ground, specs, lam)
             verts = identified_vertices(problem)
             bounds = probability_bounds(problem)
