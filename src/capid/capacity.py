@@ -34,7 +34,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 from . import lp
 from .errors import NotConvexError, SizeLimitError, ValidationError
 from .numeric import (
-    FLOAT_TOL, ZERO, Num, all_exact, fold_sum, format_number, int_numerators, tol_shift,
+    FLOAT_TOL, Num, fold_sum, format_number, in_mode, int_numerators, tol_of, tol_shift,
 )
 
 Label = Hashable
@@ -181,14 +181,11 @@ class Measure(Record):
         for w, num in zip(self.weights, nums):
             if num < -shift:
                 raise ValidationError(f"negative weight {format_number(w)}")
-        if self.is_exact:
-            if sum(nums) != scale:
-                raise ValidationError(f"weights sum to {Fraction(sum(nums), scale)}, expected 1")
-        else:
-            # the left-to-right float sum decides, as printed
-            total = fold_sum(self.weights)
-            if abs(total - 1) > self.tol:
-                raise ValidationError(f"weights sum to {total}, expected 1")
+        # exact weights decide on their int sum, float weights on the
+        # left-to-right float sum, as printed
+        total = fold_sum(self.weights) if self.tol else Fraction(sum(nums), scale)
+        if abs(total - 1) > self.tol:
+            raise ValidationError(f"weights sum to {total}, expected 1")
         if self.carrier is not None:
             if self.carrier == 0:
                 raise ValidationError("empty carrier")
@@ -211,12 +208,8 @@ class Measure(Record):
         return m
 
     @cached_property
-    def is_exact(self) -> bool:
-        return all_exact(self.weights)
-
-    @cached_property
     def tol(self) -> Num:
-        return ZERO if self.is_exact else FLOAT_TOL
+        return tol_of(self.weights)
 
     @cached_property
     def int_view(self) -> tuple[tuple[int, ...], int]:
@@ -301,29 +294,25 @@ class Capacity(Record):
         monotone, convex and carried by ``carrier`` by construction, built
         without the checks.  ``table`` holds its values on the carrier's
         subsets, indexed like ``carrier_masks(carrier)``, and ``values``
-        defaults to the table spread to every mask.  ``is_exact`` and
-        ``int_view`` are read off the table (``is_exact`` off ``values`` when
-        given), on the index list that spreads it, and ``is_convex`` answers
-        True without a scan."""
+        defaults to the table spread to every mask.  ``tol`` and ``int_view``
+        are read off the table (``tol`` off ``values`` when given), on the
+        index list that spreads it, and ``is_convex`` answers True without a
+        scan."""
         index = _spread_index(carrier, ground.size)
-        exact = all_exact(table if values is None else values)
+        tol = tol_of(table if values is None else values)
         if values is None:
             values = tuple(map(table.__getitem__, index))
         nums, scale = int_numerators(table)
         nu = object.__new__(cls)
         memo = nu.__dict__
-        memo.update(ground=ground, values=values, carrier=carrier, is_exact=exact, _convex=True)
+        memo.update(ground=ground, values=values, carrier=carrier, tol=tol, _convex=True)
         memo["int_view"] = tuple(map(nums.__getitem__, index)), scale
         return nu
 
-    # computed once per capacity: is_exact and int_view scan all 2^n values.
+    # computed once per capacity: tol and int_view scan all 2^n values.
     # A cached property stores its value in the instance __dict__, next to
     # the fields; equality, hashing and repr read the fields by name, so
     # they never see it.
-    @cached_property
-    def is_exact(self) -> bool:
-        return all_exact(self.values)
-
     @cached_property
     def int_view(self) -> tuple[tuple[int, ...], int]:
         """The values as int numerators over the lcm of their denominators."""
@@ -331,7 +320,7 @@ class Capacity(Record):
 
     @cached_property
     def tol(self) -> Num:
-        return ZERO if self.is_exact else FLOAT_TOL
+        return tol_of(self.values)
 
     @cached_property
     def _convex(self) -> bool:
@@ -471,7 +460,7 @@ def core_vertices(nu: Capacity) -> tuple[Measure, ...]:
                 vector = tail[:i] + (step,) + tail[i + 1:]
                 level.setdefault(vector, vector)
         tails[prefix] = list(level.values())
-    vectors = tails[0] if nu.is_exact else _merge_close(tails[0])
+    vectors = _merge_close(tails[0]) if nu.tol else tails[0]
     return tuple(Measure._derived(ground, v, active) for v in vectors)
 
 
@@ -492,14 +481,12 @@ def decompose_in_mixture_core(
         if c.ground != ground:
             raise ValidationError("components live on a different ground set")
     n = ground.size
-    exact_weights = all_exact(weights)
-    tol = ZERO if exact_weights else FLOAT_TOL
+    tol = tol_of(weights)
     w_nums, w_scale = int_numerators(weights)
     # the left-to-right float sum decides, as in Measure
     if min(w_nums, default=0) < -tol_shift(tol, w_scale) or abs(fold_sum(weights) - 1) > tol:
         raise ValidationError("mixture weights must be a probability vector")
-    exact = p.is_exact and all(c.is_exact for c in capacities) and exact_weights
-    slack = Fraction(0) if exact else Fraction(FLOAT_TOL)
+    slack = max(tol, p.tol, *(c.tol for c in capacities))
 
     active = [i for i, w in enumerate(weights) if w > 0]
     # variables: for each active component, the weights on its carrier labels
@@ -563,7 +550,7 @@ def decompose_in_mixture_core(
         mix_rows.append(row)
         targets.append(p_nums[i])
 
-    if exact:
+    if not slack:
         mix_a, mix_b = lp.scaled_rows(mix_rows, w_scale, targets, p_scale)
         solution = lp.feasible_point(a_ub, b_ub, a_eq + mix_a, b_eq + mix_b, nvars)
     else:
@@ -582,18 +569,14 @@ def decompose_in_mixture_core(
                 break
     if solution is None:
         return None
-
-    def _back(x: Fraction) -> Num:
-        return x if exact else float(x)
-
     out: list[Measure] = []
     for ci, cap in enumerate(capacities):
         carrier = cap.active
         if var_of[ci]:
-            weights_i = [Fraction(0)] * n
+            weights_i = [in_mode(Fraction(0), slack)] * n
             for i, var in var_of[ci].items():
-                weights_i[i] = solution[var]
-            out.append(Measure._derived(ground, tuple(_back(w) for w in weights_i), carrier))
+                weights_i[i] = in_mode(solution[var], slack)
+            out.append(Measure._derived(ground, tuple(weights_i), carrier))
         else:
             # zero-weight component: any core member will do, and for a convex
             # capacity the first vertex core_vertices lists is one

@@ -186,12 +186,11 @@ def _cmd_menu_homog(args, doc, exact):
 
 
 def _cmd_identify_kappa(args, doc, exact):
-    grid, model, lam, krange = schemas.parse_updating(doc, exact)
+    model, lam, krange = schemas.parse_updating(doc, exact)
     solution = rationalizing_kappa_interval(lam, model, krange)
+    ground = model.grid.ground
     def subsets(masks):
-        return [
-            [schemas.label_key(l) for l in grid.ground.labels_of(m)] for m in masks
-        ]
+        return [[schemas.label_key(l) for l in ground.labels_of(m)] for m in masks]
     result: dict[str, Any] = {
         "kappa_floor": format_number(model.kappa_floor),
         "interval": None
@@ -211,7 +210,7 @@ def _cmd_identify_kappa(args, doc, exact):
         verdict = check_average_bias(lam, model, kappa)
         result["at_kappa"] = {
             "kappa": format_number(kappa),
-            "verdict": schemas.verdict_json(verdict, grid.ground),
+            "verdict": schemas.verdict_json(verdict, ground),
         }
     return result
 

@@ -47,7 +47,7 @@ from .capacity import (
 )
 from .errors import CapidError, InfeasibleSetError, SizeLimitError, ValidationError
 from .info_specs import InfoSpec, build_capacity
-from .numeric import FLOAT_TOL, ZERO, Num, all_exact, fold_sum, int_numerators, tol_shift
+from .numeric import ZERO, Num, fold_sum, in_mode, int_numerators, tol_of, tol_shift
 
 #: Vertex enumeration is exact but exponential; keep it at desk scale.
 MAX_RULES_FOR_VERTICES = 8
@@ -104,6 +104,13 @@ def choice_range(rule: DecisionRule, collection: MenuCollection) -> int:
     return collection.ground.mask_of(rule.choices)
 
 
+def distinct_rule_ids(ids: Sequence[str]) -> Sequence[str]:
+    """The rule ids, refused when one repeats."""
+    if len(set(ids)) != len(ids):
+        raise ValidationError("rule ids must be distinct")
+    return ids
+
+
 class ProblemRule:
     """One rule as the identification engine sees it: its id, the analyst's
     specification of its credal set, and the capacity built from it.  The
@@ -124,9 +131,7 @@ class IdentificationProblem:
         self.data = data
         if not self.rules:
             raise ValidationError("at least one rule is required")
-        ids = [r.rule_id for r in self.rules]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("rule ids must be distinct")
+        distinct_rule_ids([r.rule_id for r in self.rules])
         for rule in self.rules:
             if rule.capacity.ground != self.ground:
                 raise ValidationError("rule capacity lives on a different ground set")
@@ -173,25 +178,25 @@ def _dominance_rows(
 ) -> tuple[Num, tuple[int, int], Iterator[tuple[int, tuple[int, ...], int]]]:
     """The dominance family lam(K) >= sum_d Q(d) nu_d(K), one row per subset K.
 
-    Returns the tolerance, zero unless lam, a capacity or a mixing weight
-    holds a float, the scales (L, D) and a single-pass iterator over the
+    Returns the tolerance, the largest of lam's, the capacities' and the
+    mixing weights', the scales (L, D) and a single-pass iterator over the
     rows (K, the capacities' values at K as ints over L, lam(K) as an int
     over D) in mask order.  lam's subset sums come off one table, of its
     numerators when lam is exact and of its floats, as ``Measure.mass``
     adds them, when not.
     """
-    exact = lam.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
+    tol = max(lam.tol, tol_of(weights), *(c.tol for c in capacities))
     views = [c.int_view for c in capacities]
     scale = math.lcm(*(den for _, den in views))
     columns = zip(*(
         nums if den == scale else tuple(v * (scale // den) for v in nums) for nums, den in views
     ))
-    if lam.is_exact:
+    if lam.tol:
+        sums, lam_scale = int_numerators(mass_table(lam.weights))
+    else:
         lam_nums, lam_scale = lam.int_view
         sums = mass_table(lam_nums)
-    else:
-        sums, lam_scale = int_numerators(mass_table(lam.weights))
-    return ZERO if exact else FLOAT_TOL, (scale, lam_scale), zip(count(), columns, sums)
+    return tol, (scale, lam_scale), zip(count(), columns, sums)
 
 
 def dominance_verdict(
@@ -228,8 +233,8 @@ def check_rationalizes(problem: IdentificationProblem, q: Measure) -> Verdict:
 
 def _lp_rows(
     problem: IdentificationProblem, share: Num = 1
-) -> tuple[bool, list[list[int]], list[tuple[int, int]]]:
-    """Whether the rows are exact, and the dominance rows ``coeffs . Q <= rhs``
+) -> tuple[Num, list[list[int]], list[tuple[int, int]]]:
+    """The rows' tolerance, and the dominance rows ``coeffs . Q <= rhs``
     in the LP kernel's row form, for ``exists``, ``bounds`` and ``vertices``.
 
     Zero rows are dropped and duplicate coefficient vectors keep only their
@@ -249,14 +254,13 @@ def _lp_rows(
     a_ub, b_ub = lp.scaled_rows(
         [c for c, _ in kept], scale, [r for _, r in kept], lam_scale, tol * share
     )
-    return not tol, a_ub, b_ub
+    return tol, a_ub, b_ub
 
 
 def _measure_over_rules(
-    problem: IdentificationProblem, point: Sequence[Fraction], exact: bool
+    problem: IdentificationProblem, point: Sequence[Fraction], tol: Num
 ) -> Measure:
-    weights = tuple(w if exact else float(w) for w in point)
-    return Measure._derived(problem.rule_ground(), weights)
+    return Measure._derived(problem.rule_ground(), tuple(in_mode(w, tol) for w in point))
 
 
 def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
@@ -265,13 +269,13 @@ def exists_rationalizing(problem: IdentificationProblem) -> Optional[Measure]:
     some rows, stays within them once rounded to floats."""
     m = len(problem.rules)
     for share in (Fraction(1, 2), 1):
-        exact, a_ub, b_ub = _lp_rows(problem, share)
+        tol, a_ub, b_ub = _lp_rows(problem, share)
         point = lp.feasible_point(a_ub, b_ub, [[1] * m], [(1, 1)], m)
-        if point is not None or exact:
+        if point is not None or not tol:
             break
     if point is None:
         return None
-    return _measure_over_rules(problem, point, exact)
+    return _measure_over_rules(problem, point, tol)
 
 
 def probability_bounds(
@@ -283,7 +287,7 @@ def probability_bounds(
     Q (the simplex returns a certifying basic solution).
     """
     m = len(problem.rules)
-    exact, a_ub, b_ub = _lp_rows(problem)
+    tol, a_ub, b_ub = _lp_rows(problem)
     # per rule, min Q(d) and then min -Q(d), all from one phase 1
     objectives = [[sign if j == i else 0 for j in range(m)] for i in range(m) for sign in (1, -1)]
     results = lp.minimize_each(objectives, a_ub, b_ub, [[1] * m], [(1, 1)])
@@ -295,7 +299,7 @@ def probability_bounds(
         if hi.status != "optimal":
             raise CapidError("bound query failed on a nonempty identified set")
         lo_v, hi_v = lo.objective, -hi.objective
-        out[rule.rule_id] = (lo_v, hi_v) if exact else (float(lo_v), float(hi_v))
+        out[rule.rule_id] = (in_mode(lo_v, tol), in_mode(hi_v, tol))
     return out
 
 
@@ -306,11 +310,11 @@ def identified_vertices(problem: IdentificationProblem) -> list[Measure]:
         raise SizeLimitError(
             f"vertex enumeration supports at most {MAX_RULES_FOR_VERTICES} rules"
         )
-    exact, a_ub, b_ub = _lp_rows(problem)
+    tol, a_ub, b_ub = _lp_rows(problem)
     verts = lp.simplex_polytope_vertices(m, a_ub, b_ub)
     if not verts:
         raise InfeasibleSetError("the identified set is empty")
-    return [_measure_over_rules(problem, v, exact) for v in sorted(verts)]
+    return [_measure_over_rules(problem, v, tol) for v in sorted(verts)]
 
 
 class _NoWitness(ValidationError):
@@ -352,7 +356,7 @@ def menu_measure(rho: Measure, rule: DecisionRule, collection: MenuCollection) -
     """
     rule.validate_on(collection)
     support = rho.support()
-    weights: list[Num] = [Fraction(0) if rho.is_exact else 0.0] * len(collection.menus)
+    weights: list[Num] = [in_mode(ZERO, rho.tol)] * len(collection.menus)
     for i, (label, w) in enumerate(zip(rho.ground.labels, rho.weights)):
         if not support >> i & 1:
             continue
@@ -387,7 +391,7 @@ def check_menu_homogeneous(
     if lam.ground != ground:
         raise ValidationError("data lives on a different ground set")
     k = len(collection.menus)
-    exact = all_exact(lam.weights) and all_exact(q.weights)
+    tol = max(lam.tol, q.tol)
     # alternative a's row holds, at menu j, the Q-weight of the rules that
     # pick a there, and its right-hand side is lambda(a): Q as ints over W
     # and lambda over D
@@ -397,7 +401,7 @@ def check_menu_homogeneous(
         [sum(w for w, r in zip(w_nums, rules) if r.choices[j] == label) for j in range(k)]
         for label in ground.labels
     ]
-    if exact:
+    if not tol:
         a_ub, b_ub = [], []
         a_eq, b_eq = lp.scaled_rows(rows, w_scale, lam_nums, lam_scale)
         a_eq.append([1] * k)
@@ -406,14 +410,13 @@ def check_menu_homogeneous(
         # relax the per-alternative equalities into a +/- tolerance band
         a_ub, b_ub = lp.scaled_rows(
             rows + [[-v for v in row] for row in rows], w_scale,
-            [*lam_nums, *(-v for v in lam_nums)], lam_scale, FLOAT_TOL,
+            [*lam_nums, *(-v for v in lam_nums)], lam_scale, tol,
         )
         a_eq, b_eq = [[1] * k], [(1, 1)]
     point = lp.feasible_point(a_ub, b_ub, a_eq, b_eq, k)
     if point is None:
         return None
-    weights = tuple(w if exact else float(w) for w in point)
-    return Measure._derived(collection.menu_ground(), weights)
+    return Measure._derived(collection.menu_ground(), tuple(in_mode(w, tol) for w in point))
 
 
 def problem_from_info_specs(

@@ -40,11 +40,9 @@ Supported families:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .capacity import Capacity, GroundSet, Measure, Record, carrier_masks, is_convex, mass_table
 from .errors import NotConvexError, ValidationError
-from .numeric import FLOAT_TOL, ONE, ZERO, Num, all_exact, fold_sum, int_numerators, tol_shift
+from .numeric import ONE, ZERO, Num, fold_sum, in_mode, int_numerators, tol_of, tol_shift
 
 
 class InfoSpec(Record):
@@ -132,7 +130,7 @@ class IntervalBelief(InfoSpec):
         # the bounds over one denominator, lower first
         bounds = (*self.lower, *self.upper)
         nums, scale = int_numerators(bounds)
-        shift = tol_shift(ZERO if all_exact(bounds) else FLOAT_TOL, scale)
+        shift = tol_shift(tol_of(bounds), scale)
         for i, low, up in zip(range(n), nums, nums[n:]):
             if low < -shift:
                 raise ValidationError("lower bounds must be nonnegative")
@@ -211,15 +209,10 @@ def build_capacity(spec: InfoSpec) -> Capacity:
         values = [keep * focal[t] + eps * (1 if t == top else 0) for t in range(top + 1)]
     elif isinstance(spec, VariationNeighborhood):
         eps = spec.epsilon
-        exact = spec.reference.is_exact and not isinstance(eps, float)
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
+        tol = tol_of(spec.reference.weights, (eps,))
+        zero = in_mode(ZERO, tol)
         reference = mass_table(_on_carrier(spec.reference.weights, carrier))
-        values = []
-        for t in range(top):
-            shaved = reference[t] - eps
-            values.append(shaved if shaved > 0 else zero)
-        values.append(one)
+        values = [max(zero, reference[t] - eps) for t in range(top)] + [in_mode(ONE, tol)]
     elif isinstance(spec, IntervalBelief):
         beta = spec.excess
         lower = mass_table(_on_carrier(spec.lower, carrier))

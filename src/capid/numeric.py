@@ -2,7 +2,10 @@
 
 Exact mode works on :class:`fractions.Fraction` (and ints) with zero
 tolerance; float mode keeps IEEE doubles with an absolute tolerance of 1e-9.
-A value collection is "exact" when every member is a Fraction or an int.
+The mode is decided here alone: a value collection's tolerance, ``tol_of``,
+is 0 when every member is a Fraction or an int and FLOAT_TOL when any is a
+double.  A query's tolerance is the largest of its inputs', and ``in_mode``
+rounds its exact results to doubles once when that is not 0.
 
 The scans behind every decision compare no Fraction or float: in both modes
 ``int_numerators`` puts a collection over one common denominator, a float at
@@ -43,6 +46,18 @@ def all_exact(values: Iterable[Num]) -> bool:
     sends the values to ``is_exact_value`` one by one."""
     values = tuple(values)
     return _EXACT_TYPES.issuperset(map(type, values)) or all(map(is_exact_value, values))
+
+
+def tol_of(*groups: Iterable[Num]) -> Num:
+    """The tolerance of the values in ``groups``: 0 when every one is exact,
+    FLOAT_TOL when any is a double."""
+    return ZERO if all(map(all_exact, groups)) else FLOAT_TOL
+
+
+def in_mode(x: Num, tol: Num) -> Num:
+    """An exact result as it leaves the kernel at tolerance ``tol``:
+    unchanged at 0, rounded once to a double otherwise."""
+    return float(x) if tol else x
 
 
 def fold_sum(values: Iterable[Num]) -> Num:

@@ -23,6 +23,7 @@ from .identification import (
     MenuCollection,
     Verdict,
     choice_range,
+    distinct_rule_ids,
     problem_from_info_specs,
 )
 from .info_specs import (
@@ -395,7 +396,7 @@ def parse_updating(obj, exact: bool):
         krange = KappaRange.for_model(
             model, parse_number(pair[0], exact), parse_number(pair[1], exact)
         )
-    return grid, model, lam, krange
+    return model, lam, krange
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,8 @@ def parse_simulation(obj, exact: bool):
     check_schema(obj)
     ground = parse_ground(_require(obj, "labels"))
     entries = [(rid, spec, entry) for entry, rid, spec, _, _ in _parse_rules(obj, ground, exact)]
-    q = _rule_weights(_require(obj, "q"), tuple(rid for rid, _, _ in entries), exact, "q")
+    ids = distinct_rule_ids(tuple(rid for rid, _, _ in entries))
+    q = _rule_weights(_require(obj, "q"), ids, exact, "q")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError("seed must be an integer")

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 from .capacity import Capacity, GroundSet, Measure, core_vertices, is_convex  # noqa: F401
 from .errors import ValidationError
 from .identification import Verdict, _dominance_rows, dominance_verdict
-from .numeric import Num, as_fraction, tol_shift
+from .numeric import ONE, Num, as_fraction, in_mode, tol_shift
 
 
 class OddsGrid(NamedTuple):
@@ -138,7 +138,7 @@ class KappaRange:
         the tolerance may lie below that double; a lower end that is missing
         or not admitted becomes the floor.  ``max`` keeps an end equal to the
         floor as its own object."""
-        one = Fraction(1) if model.nu.is_exact else 1.0
+        one = in_mode(ONE, model.nu.tol)
         hi = one if hi is None else min(hi, one)
         if not model.above_floor(hi):
             raise ValidationError("empty kappa range")
@@ -226,6 +226,5 @@ def rationalizing_kappa_interval(
         diagnosis = "underreaction"
     else:
         diagnosis = "overreaction"
-    if tol:
-        lo, hi = float(lo), float(hi)
+    lo, hi = in_mode(lo, tol), in_mode(hi, tol)
     return KappaSolution(False, lo, hi, diagnosis, tuple(under), tuple(over))

@@ -26,7 +26,7 @@ from capid.errors import NotConvexError, ValidationError
 from capid.info_specs import (
     Contamination, Ignorance, IntervalBelief, VariationNeighborhood, build_capacity,
 )
-from capid.numeric import FLOAT_TOL, ZERO, Num
+from capid.numeric import FLOAT_TOL, ZERO, Num, all_exact
 from oracle import eq, ge
 
 
@@ -125,7 +125,7 @@ def quadratic_dedupe_measures(measures):
     out = []
     for m in measures:
         if not any(
-            all(eq(a, b, ZERO if m.is_exact and kept.is_exact else FLOAT_TOL)
+            all(eq(a, b, ZERO if all_exact((*m.weights, *kept.weights)) else FLOAT_TOL)
                 for a, b in zip(m.weights, kept.weights))
             for kept in out
         ):
@@ -184,7 +184,7 @@ def literal_build_capacity(spec):
         return Capacity(ground, values, carrier)
     if isinstance(spec, VariationNeighborhood):
         eps = spec.epsilon
-        exact = spec.reference.is_exact and not isinstance(eps, float)
+        exact = all_exact(spec.reference.weights) and not isinstance(eps, float)
         one = Fraction(1) if exact else 1.0
         zero = Fraction(0) if exact else 0.0
         values = []

@@ -199,7 +199,7 @@ def _constraint_rows(
     In float mode right-hand sides gain ``share`` of the standard feasibility
     slack.
     """
-    exact = all_exact(lam.weights) and all(c.is_exact for c in capacities)
+    exact = all_exact(lam.weights) and all(all_exact(c.values) for c in capacities)
     slack = F(0) if exact else F(FLOAT_TOL) * share
     best: dict[tuple[F, ...], F] = {}
     for mask in ground.masks():
@@ -224,7 +224,10 @@ def _decomposition_rows(
     from capacity_oracle import submasks
 
     n = p.ground.size
-    exact = p.is_exact and all(c.is_exact for c in capacities) and all_exact(weights)
+    exact = (
+        all_exact(p.weights) and all(all_exact(c.values) for c in capacities)
+        and all_exact(weights)
+    )
     slack = F(0) if exact else F(FLOAT_TOL)
     active = [i for i, w in enumerate(weights) if w > 0]
     var_of: list[dict[int, int]] = [{} for _ in capacities]

@@ -218,7 +218,7 @@ class TestCoreVertices:
             assert got[0].weights == identity_order_vertex(nu)
             kinds[kind] += 1
             carriers += nu.carrier is not None
-            floats += not nu.is_exact
+            floats += bool(nu.tol)
             orderings = math.factorial(nu.active.bit_count())
             if kind == "strict":
                 assert len(got) == orderings

@@ -335,7 +335,7 @@ class TestKappaFloor:
         path = tmp_path / "updating.json"
         for _ in range(40):
             doc = gen.random_updating_doc(rng)
-            floor = schemas.parse_updating(doc, True)[1].kappa_floor
+            floor = schemas.parse_updating(doc, True)[0].kappa_floor
             for below in (0, F(1, 10**10), F(5, 10**10)):
                 end = str(floor - below)
                 for kappa_range in ([end, end], ["-1", end], [end, "1"]):
@@ -370,7 +370,7 @@ class TestKappaFloor:
             doc = gen.random_updating_doc(rng)
             doc.pop("kappa_range", None)
             path.write_text(json.dumps(doc))
-            floor = schemas.parse_updating(doc, True)[1].kappa_floor
+            floor = schemas.parse_updating(doc, True)[0].kappa_floor
             for below in (0, F(1, 10**10), F(5, 10**10)):
                 for mode in ("exact", "float"):
                     code, report = run(
@@ -592,6 +592,22 @@ class TestSimulate:
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
         assert "'typo'" in report["error"]["message"]
+
+    def test_repeated_rule_id_exits_2(self, capsys, tmp_path):
+        # the fault a problem document with the same ids reports, not the
+        # ground set of the weights built from them
+        doc = json.loads(Path(SIMULATE).read_text())
+        doc["rules"][1]["id"] = doc["rules"][0]["id"]
+        doc["q"] = {doc["rules"][0]["id"]: 1}
+        doc["lambda"] = {"a": "1/3", "b": "1/3", "c": "1/3"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("simulate", "exists"):
+            code, report = run(capsys, command, "--input", str(bad))
+            assert code == 2
+            assert report["error"] == {
+                "type": "ValidationError", "message": "rule ids must be distinct",
+            }
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
     def test_non_integer_seed_exits_2(self, capsys, tmp_path, seed):

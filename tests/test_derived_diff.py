@@ -8,7 +8,7 @@ gets.  Each one they build while the CLI answers the golden fixtures and
 seeded ``tests/gen`` documents in both modes, and while ``build_capacity``
 builds point and explicit specifications, must pass the literal capacity
 axioms and pairwise supermodularity of ``capacity_oracle``, and agree on
-``is_exact`` and ``int_view`` with a copy built by the validating
+``tol`` and ``int_view`` with a copy built by the validating
 constructor.  Each measure must pass the ``Measure`` constructor.
 """
 
@@ -49,8 +49,8 @@ def assert_sound(made):
         assert valid_capacity(obj.ground, obj.values, obj.carrier), obj
         assert brute_force_convex(obj), obj
         copy = Capacity(obj.ground, obj.values, obj.carrier)
-        assert copy.is_exact == obj.is_exact
-        if copy.is_exact:
+        assert copy.tol == obj.tol
+        if not copy.tol:
             assert copy.int_view == obj.int_view
         assert is_convex(copy)
 
@@ -130,5 +130,5 @@ def test_point_mass_reads_exactness_off_every_mask(derived):
     rho = Measure(ground, (F(1, 4), F(3, 4), 0.0), carrier)
     nu = build_capacity(PointMass(ground, carrier, rho))
     assert isinstance(nu.values[ground.mask_of("c")], float)
-    assert not nu.is_exact
+    assert nu.tol
     assert_sound(derived)

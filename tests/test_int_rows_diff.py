@@ -136,8 +136,8 @@ def test_verdicts_and_rows_match_the_fraction_code():
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
             seen["int_shortfall"] += any(type(s) is int for _, s in new.violated)
 
-        exact, a_ub, b_ub = _lp_rows(problem)
-        lp_rows = (exact, fraction_rows(a_ub, b_ub))
+        tol, a_ub, b_ub = _lp_rows(problem)
+        lp_rows = (not tol, fraction_rows(a_ub, b_ub))
         assert repr(lp_rows) == repr((True, oracle._constraint_rows(ground, lam, caps)))
 
     assert seen["coprime_scales"] >= CASES // 2, seen
@@ -179,8 +179,8 @@ def test_float_verdicts_and_rows_match_the_float_code():
             seen["pass" if new.rationalizes else "fail"] += 1
             seen["over_cap"] += new.violation_count > MAX_REPORTED_VIOLATIONS
         for share in (1, F(1, 2)):
-            exact, a_ub, b_ub = _lp_rows(problem, share)
-            lp_rows = (exact, fraction_rows(a_ub, b_ub))
+            tol, a_ub, b_ub = _lp_rows(problem, share)
+            lp_rows = (not tol, fraction_rows(a_ub, b_ub))
             literal = oracle._constraint_rows(ground, lam, caps, F(share))
             assert repr(lp_rows) == repr((False, literal))
     assert seen["pass"] >= 100 and seen["fail"] >= 50, seen
@@ -272,6 +272,6 @@ def test_float_capacity_carried_within_the_tolerance_keeps_its_own_values():
         ProblemRule("r1", ExplicitCapacity(ground, 0b111, ignorance)),
     )
     problem = IdentificationProblem(ground, rules, Measure(ground, (0.25, 0.5, 0.25)))
-    exact, a_ub, b_ub = _lp_rows(problem)
+    tol, a_ub, b_ub = _lp_rows(problem)
     literal = oracle._constraint_rows(ground, problem.data, [nu, ignorance])
-    assert (exact, fraction_rows(a_ub, b_ub)) == (False, literal)
+    assert (not tol, fraction_rows(a_ub, b_ub)) == (False, literal)

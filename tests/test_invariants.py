@@ -86,7 +86,7 @@ class TestFloatMode:
     def test_float_capacity_operations(self):
         ground = GroundSet.of("ab")
         nu = Capacity(ground, (0.0, 0.25, 0.25, 1.0))
-        assert not nu.is_exact
+        assert nu.tol
         assert is_convex(nu)
         vs = core_vertices(nu)
         assert len(vs) == 2

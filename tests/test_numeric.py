@@ -1,11 +1,11 @@
-"""``all_exact``, ``ge`` and ``eq`` against the literal definitions their
-fast paths skip."""
+"""``all_exact``, ``tol_of``, ``in_mode``, ``ge`` and ``eq`` against the
+literal definitions their fast paths skip."""
 
 import enum
 import itertools
 from fractions import Fraction as F
 
-from capid.numeric import FLOAT_TOL, ZERO, all_exact, is_exact_value
+from capid.numeric import FLOAT_TOL, ZERO, all_exact, in_mode, is_exact_value, tol_of
 from oracle import eq, ge
 
 
@@ -27,12 +27,26 @@ def _literal(values):
 
 def test_all_exact_matches_the_per_value_test_on_every_mix():
     assert all_exact(()) is True
+    assert tol_of() == tol_of(()) == ZERO
     for size in range(1, 4):
         for mix in itertools.product(SAMPLES, repeat=size):
             want = _literal(mix)
             assert all_exact(mix) is want, mix
             assert all_exact(list(mix)) is want, mix
             assert all_exact(v for v in mix) is want, mix
+            # the mode: 0 when every value is exact, FLOAT_TOL otherwise,
+            # however the values are split into groups
+            tol = ZERO if want else FLOAT_TOL
+            for split in range(size + 1):
+                got = tol_of(mix[:split], iter(mix[split:]))
+                assert (type(got), got) == (type(tol), tol), mix
+            # an exact result leaves unchanged, and rounds once otherwise
+            for v in mix:
+                out = in_mode(v, tol)
+                if want:
+                    assert out is v, mix
+                else:
+                    assert type(out) is float and out == float(v), mix
 
 
 def test_one_other_type_last_among_fractions():

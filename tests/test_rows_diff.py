@@ -88,8 +88,8 @@ def test_rows_verdicts_and_capacities_match_the_per_subset_code():
         # the LP rows, read as Fractions, and the arithmetic mode, with the
         # float slack in full and halved, as exists first tries it
         for share in (1, F(1, 2)):
-            lp_exact, a_ub, b_ub = _lp_rows(problem, share)
-            lp_rows = (lp_exact, fraction_rows(a_ub, b_ub))
+            lp_tol, a_ub, b_ub = _lp_rows(problem, share)
+            lp_rows = (not lp_tol, fraction_rows(a_ub, b_ub))
             literal = oracle._constraint_rows(ground, lam, caps, F(share))
             assert repr(lp_rows) == repr((exact, literal))
 
@@ -108,7 +108,8 @@ def test_average_bias_verdicts_match_the_per_subset_code():
     passing = {True: 0, False: 0}
     for doc in [fixture] + [gen.random_updating_doc(rng) for _ in range(60)]:
         for exact in (True, False):
-            grid, model, lam, _ = schemas.parse_updating(doc, exact)
+            model, lam, _ = schemas.parse_updating(doc, exact)
+            grid = model.grid
             krange = KappaRange.for_model(model)
             for step in range(9):
                 share = F(step, 8) if exact else step / 8
@@ -148,7 +149,8 @@ def test_kappa_interval_matches_the_per_subset_scan():
         doc = gen.random_updating_doc(rng)
         seen["kappa_range"] += "kappa_range" in doc
         for exact in (True, False):
-            grid, model, lam, krange = schemas.parse_updating(doc, exact)
+            model, lam, krange = schemas.parse_updating(doc, exact)
+            grid = model.grid
             new = rationalizing_kappa_interval(lam, model, krange)
             old = oracle.kappa_interval_scan(lam, model, grid, krange)
             seen["exact" if exact else "float"] += 1

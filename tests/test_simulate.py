@@ -2,7 +2,9 @@
 
 from fractions import Fraction as F
 
-from capid import GroundSet, Measure
+import pytest
+
+from capid import GroundSet, Measure, ValidationError
 from capid.identification import (
     MenuCollection,
     check_rationalizes,
@@ -104,6 +106,13 @@ class TestSynthPopulation:
             result = synth_population(specs, q, seed)
             problem = problem_from_info_specs(ABC, specs, result.lam)
             assert check_rationalizes(problem, q).rationalizes
+
+    def test_repeated_rule_id_is_refused(self):
+        # named as a problem refuses it, not as the lambda it would build
+        specs = [("r", Ignorance(ABC, ABC.mask_of("ab"))), ("r", Ignorance(ABC, ABC.full_mask))]
+        q = Measure(GroundSet.of(["r"]), (F(1),))
+        with pytest.raises(ValidationError, match="^rule ids must be distinct$"):
+            synth_population(specs, q, seed=1)
 
     def test_seeded_determinism_and_metadata(self):
         specs = [("ign", Ignorance(ABC, ABC.full_mask))]

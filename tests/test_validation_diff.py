@@ -164,7 +164,8 @@ class TestSeededDocuments:
         for case in range(200):
             exact = case % 2 == 0
             doc = gen.random_updating_doc(rng)
-            grid, model, _, _ = schemas.parse_updating(doc, exact)
+            model, _, _ = schemas.parse_updating(doc, exact)
+            grid = model.grid
             values = list(model.nu.values)
             signal = grid.shifted.full_mask & ~(1 << grid.null_signal_index)
             # move all of the informative signals' mass within about 1e-9 of 0
